@@ -27,12 +27,21 @@ Run directly (not under pytest)::
     python benchmarks/bench_fleet.py            # full curve, up to 200 clients
     python benchmarks/bench_fleet.py --smoke    # CI-sized quick check
     python benchmarks/bench_fleet.py --json out.json
+    python benchmarks/bench_fleet.py --smoke --check BENCH_fleet.json
+
+``--check`` compares everything the run computed *except* host wall
+time with the committed document -- the full curve against ``curve``,
+a ``--smoke`` run against ``smoke_curve`` -- and fails on any
+difference: the simulated latencies and byte counts are a pure function
+of the configuration, so a changed digit is a changed decision.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -63,6 +72,38 @@ UPLINK_BPS = 16_000.0
 #: curve's 16 kB/s serves 200 clients, i.e. 80 bytes/s each), so
 #: queueing behaviour stays comparable across fleet sizes.
 PER_CLIENT_UPLINK_BPS = 80.0
+
+
+def machine_context() -> dict:
+    """Where the absolute ``wall_s`` figures were measured."""
+    model = "unknown"
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    return {
+        "cores": os.cpu_count(),
+        "cpu": model,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def without_wall(curve: list[dict]) -> list[dict]:
+    """The curve's simulated (machine-independent) fields only."""
+    return [
+        {
+            key: (
+                {k: v for k, v in value.items() if k != "wall_s"}
+                if isinstance(value, dict)
+                else value
+            )
+            for key, value in point.items()
+        }
+        for point in curve
+    ]
 
 
 def make_fleet_config(uplink_bps: float) -> FleetConfig:
@@ -240,6 +281,7 @@ def run(smoke: bool, clients: list[int] | None = None) -> dict:
             "steps": steps,
             "smoke": smoke,
         },
+        "machine": machine_context(),
         "curve": curve,
     }
 
@@ -253,6 +295,11 @@ def main() -> int:
     parser.add_argument(
         "--json", type=Path, default=None, metavar="PATH",
         help="also write the result document to PATH",
+    )
+    parser.add_argument(
+        "--check", type=Path, default=None, metavar="PATH",
+        help="fail unless every non-wall field of the curve equals the "
+        "committed document's (``smoke_curve`` under --smoke)",
     )
     parser.add_argument(
         "--clients", type=int, nargs="+", default=None, metavar="N",
@@ -275,6 +322,8 @@ def main() -> int:
         help="shard executor of the flat drive",
     )
     args = parser.parse_args()
+    if args.check is not None and (args.drive != "system" or args.clients):
+        parser.error("--check pins the built-in system-drive curves only")
     if args.drive == "flat":
         result = run_flat(
             smoke=args.smoke, clients=args.clients, shards=args.shards,
@@ -282,10 +331,22 @@ def main() -> int:
         )
     else:
         result = run(smoke=args.smoke, clients=args.clients)
+        if not args.smoke and args.clients is None:
+            # The committed document also pins the CI-sized curve.
+            result["smoke_curve"] = without_wall(run(smoke=True)["curve"])
     document = json.dumps(result, indent=2)
     print(document)
     if args.json is not None:
         args.json.write_text(document + "\n")
+    if args.check is not None:
+        golden = json.loads(args.check.read_text())
+        expected = golden["smoke_curve" if args.smoke else "curve"]
+        if without_wall(result["curve"]) != without_wall(expected):
+            print(
+                f"FAIL: simulated fleet results differ from {args.check}",
+                file=sys.stderr,
+            )
+            return 1
     last = result["curve"][-1]
     if not args.smoke and args.clients is None and args.drive == "system":
         if last["clients"] < 200:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.buffering.cost import allocate_blocks
+from repro.buffering.partition import partition_cells
 from repro.geometry.box import Box
 from repro.geometry.grid import Grid
 from repro.motion.kalman import ConstantVelocityModel2D
@@ -24,18 +25,51 @@ def test_kalman_step(benchmark):
     benchmark(step)
 
 
-def test_visit_probabilities_radius5(benchmark):
-    grid = Grid(Box((0, 0), (1000, 1000)), (25, 25))
+def trained_predictor() -> KalmanMotionPredictor:
     predictor = KalmanMotionPredictor()
     for i in range(20):
         predictor.observe(np.array([100.0 + 10 * i, 500.0]))
+    return predictor
+
+
+def test_visit_probabilities_radius5(benchmark):
+    grid = Grid(Box((0, 0), (1000, 1000)), (25, 25))
+    predictor = trained_predictor()
     center = np.array([290.0, 500.0])
 
-    benchmark(
+    cells, probs = benchmark(
         lambda: visit_probabilities(
             predictor, grid, steps=8, radius=5, center=center
         )
     )
+    assert cells.shape == (121, 2) and probs.shape == (121,)
+
+
+def test_visit_probabilities_whole_grid_60_steps(benchmark):
+    """The worst contacted tick: every cell of a 20x20 grid at the
+    longest forecast horizon the buffer manager ever asks for."""
+    grid = Grid(Box((0, 0), (1000, 1000)), (20, 20))
+    predictor = trained_predictor()
+
+    cells, probs = benchmark(
+        lambda: visit_probabilities(
+            predictor,
+            grid,
+            steps=60,
+            frame_extents=np.array([50.0, 50.0]),
+        )
+    )
+    assert cells.shape == (400, 2)
+    assert abs(float(probs.sum()) - 1.0) < 1e-9
+
+
+def test_partition_whole_grid(benchmark):
+    grid = Grid(Box((0, 0), (1000, 1000)), (20, 20))
+    cells = grid.cell_ids()
+    sectors = benchmark(
+        lambda: partition_cells(grid, cells, np.array([290.0, 500.0]), 4)
+    )
+    assert sectors.shape == (400,)
 
 
 def test_allocate_blocks_8_directions(benchmark):

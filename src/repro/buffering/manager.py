@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import BufferError_
+from repro.errors import BufferError_, PredictionError
 from repro.geometry.box import Box
 from repro.geometry.grid import CellId, Grid
 from repro.buffering.cache import BlockCache
@@ -54,6 +54,7 @@ from repro.buffering.partition import direction_probabilities, partition_cells
 # blocks) -> blocks per direction.  The default is the paper's recursive
 # eq.-2 scheme; the ablation benchmarks swap in alternatives.
 AllocatorFn = Callable[[list[float], int], list[int]]
+from repro.motion.kalman import Gaussian
 from repro.motion.predictor import KalmanMotionPredictor, Predictor, visit_probabilities
 
 __all__ = [
@@ -309,14 +310,16 @@ class _BufferManagerBase:
         cells: list[CellId],
         resolution: float,
         required: set[CellId],
-        probabilities: dict[CellId, float] | None = None,
+        probabilities: np.ndarray | None = None,
     ) -> tuple[int, tuple[CellId, ...]]:
+        """Fetch ``cells`` in order; ``probabilities`` is grid-shaped."""
         total = 0
         fetched: list[CellId] = []
         for cell in cells:
+            prob = float(probabilities[cell]) if probabilities is not None else 0.0
             if self.cache.holds(cell, resolution):
                 if probabilities is not None:
-                    self.cache.update_probability(cell, probabilities.get(cell, 0.0))
+                    self.cache.update_probability(cell, prob)
                 continue
             # An empty block still occupies one marker byte: knowing a
             # cell holds no data is cacheable information.
@@ -324,7 +327,6 @@ class _BufferManagerBase:
             self._note_block_size(size)
             existing = self.cache.get(cell)
             already = existing.size_bytes if existing else 0
-            prob = probabilities.get(cell, 0.0) if probabilities else 0.0
             stored = self.cache.put(
                 cell,
                 resolution,
@@ -397,20 +399,32 @@ class MotionAwareBufferManager(_BufferManagerBase):
 
     def _effective_radius(
         self, budget: int, required_count: int, position: np.ndarray
-    ) -> int:
+    ) -> tuple[int, list[Gaussian] | None]:
+        """The prefetch reach, and the forecasts it was judged on.
+
+        The forecasts (None when no forecast was needed or possible) run
+        at least as far as the returned reach's horizon, so the caller
+        can hand them on instead of forecasting again.
+        """
         if self._radius is not None:
-            return self._radius
+            return self._radius, None
         # A budget concentrated along the predicted path reaches farther
         # than a uniform disc -- but only when the prediction is actually
         # directional.  Scale the extension by the confidence ratio
         # (predicted displacement vs forecast spread): tram-like motion
         # doubles the reach, a wandering pedestrian keeps the disc.
         disc = self._reach_radius(budget, required_count)
+        limit = max(self._grid.shape)
         horizon = self._effective_horizon(disc)
         try:
-            last = self._predictor.forecast_positions(horizon)[-1]
-        except Exception:
-            return disc
+            # Directionality < 1 caps the reach at twice the disc; one
+            # forecast that far serves every shorter horizon as a prefix.
+            forecasts = self._predictor.forecast_positions(
+                self._effective_horizon(min(2 * disc, limit))
+            )
+        except PredictionError:
+            return disc, None
+        last = forecasts[horizon - 1]
         displacement = float(np.linalg.norm(last.mean - position))
         spread = float(np.sqrt(max(np.trace(last.cov) / 2.0, 1e-12)))
         if self._pred_error is not None:
@@ -419,7 +433,7 @@ class MotionAwareBufferManager(_BufferManagerBase):
             spread += self._pred_error * horizon
         directionality = displacement / (displacement + spread)
         radius = disc * (1.0 + directionality)
-        return int(min(max(int(round(radius)), 1), max(self._grid.shape)))
+        return int(min(max(int(round(radius)), 1), limit)), forecasts
 
     def _effective_horizon(self, radius: int) -> int:
         if self._horizon is not None:
@@ -442,47 +456,50 @@ class MotionAwareBufferManager(_BufferManagerBase):
         budget = max(self._block_budget() - len(required), 0)
         if budget == 0:
             return (0, ())
-        radius = self._effective_radius(budget, len(required), position)
-        horizon = self._effective_horizon(radius)
-        probs = visit_probabilities(
+        radius, forecasts = self._effective_radius(budget, len(required), position)
+        cells, probs = visit_probabilities(
             self._predictor,
             self._grid,
-            steps=horizon,
+            steps=self._effective_horizon(radius),
             radius=radius,
             center=position,
             frame_extents=query_box.extents,
+            forecasts=forecasts,
         )
-        if not probs:
+        # `where` addresses a grid-shaped array at every listed cell at once.
+        where = tuple(cells.T)
+        needed = np.zeros(self._grid.shape, dtype=bool)
+        for cell in required:
+            needed[cell] = True
+        candidates = np.flatnonzero(~needed[where])
+        if candidates.size == 0:
             return (0, ())
-        candidates = [c for c in probs if c not in required]
-        if not candidates:
-            return (0, ())
-        partition = partition_cells(self._grid, candidates, position, self._k)
-        dir_probs = direction_probabilities(partition, probs, self._k)
+        sectors = partition_cells(self._grid, cells[candidates], position, self._k)
+        dir_probs = direction_probabilities(sectors, probs[candidates], self._k)
         allocation = self._allocator(dir_probs, budget)
-        chosen: list[CellId] = []
-        for direction in range(self._k):
-            members = sorted(
-                partition.get(direction, []),
-                key=lambda c: probs.get(c, 0.0),
-                reverse=True,
-            )
-            chosen.extend(members[: allocation[direction]])
+        # Most probable first; the stable sort leaves ties in ring order.
+        ranked = np.argsort(-probs[candidates], kind="stable")
+        ranked_sectors = sectors[ranked]
+        picks = [
+            ranked[ranked_sectors == direction][: allocation[direction]]
+            for direction in range(self._k)
+        ]
+        chosen = np.concatenate(picks)
         # A direction may not have enough candidates to absorb its
         # allocation; spend the leftover budget on the most probable
         # remaining blocks so the buffer never sits idle.
-        if len(chosen) < budget:
-            chosen_set = set(chosen)
-            leftovers = sorted(
-                (c for c in candidates if c not in chosen_set),
-                key=lambda c: probs.get(c, 0.0),
-                reverse=True,
-            )
-            chosen.extend(leftovers[: budget - len(chosen)])
+        if chosen.size < budget:
+            taken = np.zeros(candidates.size, dtype=bool)
+            taken[chosen] = True
+            leftovers = ranked[~taken[ranked]]
+            chosen = np.concatenate([chosen, leftovers[: budget - chosen.size]])
         # Refresh probabilities of everything cached for eviction ranking.
+        dense = np.zeros(self._grid.shape)
+        dense[where] = probs
         for cell in self.cache.cells():
-            self.cache.update_probability(cell, probs.get(cell, 0.0))
-        return self._fetch_for_prefetch(chosen, resolution, required, probs)
+            self.cache.update_probability(cell, float(dense[cell]))
+        chosen_cells = [tuple(c) for c in cells[candidates[chosen]].tolist()]
+        return self._fetch_for_prefetch(chosen_cells, resolution, required, dense)
 
 
 class NaiveBufferManager(_BufferManagerBase):

@@ -11,13 +11,11 @@ adjacent sectors, which this module reproduces deterministically.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
 
 import numpy as np
 
 from repro.errors import BufferError_
-from repro.geometry.grid import CellId, Grid
-from repro.geometry.vector import sector_of_angle
+from repro.geometry.grid import Grid
 
 __all__ = ["partition_cells", "direction_probabilities"]
 
@@ -26,67 +24,58 @@ _TIE_EPS = 1e-12
 
 def partition_cells(
     grid: Grid,
-    cells: Iterable[CellId],
+    cells: np.ndarray,
     center: np.ndarray,
     k: int,
     *,
     offset: float | None = None,
-) -> dict[int, list[CellId]]:
-    """Assign each cell to one of ``k`` sectors around ``center``.
+) -> np.ndarray:
+    """Assign each row of the ``(n, ndim)`` ``cells`` to one of ``k`` sectors.
 
-    Sector ``i`` spans angles ``[offset + i*2pi/k, offset + (i+1)*2pi/k)``.
-    The default offset of ``-pi/k`` centres sector 0 on the +x axis, so
-    with ``k = 4`` the partition lines run along the diagonals exactly
-    as in the paper's Figure 4(b).  Cells whose centre bearing falls
-    exactly on a sector boundary are alternated between the two
-    adjacent sectors (the paper's tie-breaking rule).  The cell
-    containing ``center`` itself (bearing undefined) goes to sector 0.
+    Returns the ``(n,)`` sector index of every cell.  Sector ``i`` spans
+    angles ``[offset + i*2pi/k, offset + (i+1)*2pi/k)`` around
+    ``center``.  The default offset of ``-pi/k`` centres sector 0 on the
+    +x axis, so with ``k = 4`` the partition lines run along the
+    diagonals exactly as in the paper's Figure 4(b).  Cells whose centre
+    bearing falls exactly on a sector boundary are alternated between
+    the two adjacent sectors in the order given (the paper's
+    tie-breaking rule): the first such cell goes to the lower sector,
+    the next to the upper, and so on.  The cell containing ``center``
+    itself (bearing undefined) goes to sector 0.
     """
     if k < 1:
         raise BufferError_(f"need k >= 1 directions, got {k}")
     if offset is None:
         offset = -math.pi / k
-    center = np.asarray(center, dtype=float)
-    sector_width = 2.0 * math.pi / k
-    result: dict[int, list[CellId]] = {i: [] for i in range(k)}
-    tie_toggle = False
-    for cell in cells:
-        delta = grid.cell_center(cell) - center
-        if float(np.dot(delta, delta)) == 0.0:
-            result[0].append(cell)
-            continue
-        angle = (math.atan2(float(delta[1]), float(delta[0])) - offset) % (
-            2.0 * math.pi
-        )
-        frac = angle / sector_width
-        nearest_boundary = round(frac)
-        if abs(frac - nearest_boundary) < _TIE_EPS:
-            # Exactly on a partition line: alternate the two owners.
-            upper = int(nearest_boundary) % k
-            lower = (upper - 1) % k
-            result[upper if tie_toggle else lower].append(cell)
-            tie_toggle = not tie_toggle
-        else:
-            result[sector_of_angle(angle, k)].append(cell)
-    return result
+    delta = grid.cell_centers(cells) - np.asarray(center, dtype=float)
+    angle = (np.arctan2(delta[:, 1], delta[:, 0]) - offset) % (2.0 * math.pi)
+    frac = angle / (2.0 * math.pi / k)
+    sectors = np.minimum(frac.astype(int), k - 1)
+    at_center = ~delta.any(axis=1)
+    sectors[at_center] = 0
+    # Exactly on a partition line: alternate the two owners.
+    boundary = np.round(frac)
+    on_line = (np.abs(frac - boundary) < _TIE_EPS) & ~at_center
+    upper = boundary[on_line].astype(int) % k
+    to_upper = np.arange(upper.shape[0]) % 2 == 1
+    sectors[on_line] = np.where(to_upper, upper, (upper - 1) % k)
+    return sectors
 
 
 def direction_probabilities(
-    partition: Mapping[int, list[CellId]],
-    cell_probs: Mapping[CellId, float],
-    k: int,
+    sectors: np.ndarray, probs: np.ndarray, k: int
 ) -> list[float]:
     """Per-direction visit probability: sum of member cells, normalised.
 
-    Directions whose cells carry zero total mass get probability 0; if
-    every direction is empty the distribution is uniform (the client has
-    no information yet).
+    ``sectors`` is :func:`partition_cells`' assignment of the cells
+    whose probabilities are ``probs``.  Directions whose cells carry
+    zero total mass get probability 0; if every direction is empty the
+    distribution is uniform (the client has no information yet).
     """
     if k < 1:
         raise BufferError_(f"need k >= 1 directions, got {k}")
-    sums = []
-    for i in range(k):
-        sums.append(sum(cell_probs.get(cell, 0.0) for cell in partition.get(i, [])))
+    # bincount accumulates each bin in input order, like a running sum.
+    sums = np.bincount(sectors, weights=probs, minlength=k).tolist()
     total = sum(sums)
     if total <= 0.0:
         return [1.0 / k] * k

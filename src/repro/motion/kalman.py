@@ -45,26 +45,49 @@ class Gaussian:
         idx = np.asarray(indices, dtype=int)
         return Gaussian(self.mean[idx], self.cov[np.ix_(idx, idx)])
 
-    def log_pdf(self, x: np.ndarray) -> float:
-        """Log-density at ``x`` via a Cholesky factorisation.
+    def log_pdf_many(self, points: np.ndarray) -> np.ndarray:
+        """Log-density at every row of an ``(n, d)`` point array.
 
-        Working with ``L`` (``cov = L L^T``) keeps tight covariances
-        exact where the old ``det``/``solve`` path had to add a fixed
-        ``1e-9`` jitter up front -- which *dominates* a covariance of
-        scale ``1e-12`` and biases the density by orders of magnitude.
-        Jitter is now escalated only when the factorisation actually
-        fails (the covariance is semi-definite to machine precision),
-        starting from a scale proportional to the matrix itself.
+        One Cholesky factorisation ``cov = L L^T`` serves all ``n``
+        points; ``L z = diff`` is solved by forward substitution written
+        as elementwise array arithmetic, so row ``i`` of the result does
+        not depend on ``n`` -- the scalar :meth:`log_pdf` is the ``n = 1``
+        case, bit for bit.  (A LAPACK solve against the ``(d, n)``
+        right-hand side picks different kernels for different ``n``.)
+
+        Working with ``L`` keeps tight covariances exact where a fixed
+        up-front jitter would *dominate* a covariance of scale ``1e-12``
+        and bias the density by orders of magnitude; jitter is escalated
+        only when the factorisation actually fails (see
+        :meth:`_cholesky`).
         """
-        x = np.asarray(x, dtype=float)
+        points = np.asarray(points, dtype=float)
         d = self.mean.shape[0]
-        diff = x - self.mean
+        if points.ndim != 2 or points.shape[1] != d:
+            raise PredictionError(
+                f"expected an (n, {d}) point array, got shape {points.shape}"
+            )
+        diff = points - self.mean
         chol = self._cholesky()
         # diff = L z  =>  diff^T cov^-1 diff = ||z||^2
-        z = np.linalg.solve(chol, diff)
-        maha = float(z @ z)
+        z: list[np.ndarray] = []
+        maha = np.zeros(points.shape[0])
+        for i in range(d):
+            acc = diff[:, i]
+            for j in range(i):
+                acc = acc - chol[i, j] * z[j]
+            z.append(acc / chol[i, i])
+            maha += z[i] * z[i]
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+
+    def pdf_many(self, points: np.ndarray) -> np.ndarray:
+        """Density at every row of ``points`` (``exp`` of :meth:`log_pdf_many`)."""
+        return np.exp(self.log_pdf_many(points))
+
+    def log_pdf(self, x: np.ndarray) -> float:
+        """Log-density at one point ``x``."""
+        return float(self.log_pdf_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def pdf(self, x: np.ndarray) -> float:
         """Density at ``x`` (``exp`` of :meth:`log_pdf`)."""

@@ -8,18 +8,20 @@ buffer manager (Section V-B):
    paper's formulation -- or dead reckoning for ablations) produces
    multi-step position forecasts with growing error covariance;
 2. :func:`visit_probabilities` integrates those Gaussians over the grid
-   cells around the client and normalises, giving ``P(block visited)``.
+   cells around the client and normalises, giving ``P(block visited)``
+   as a pair of arrays (cell ids, probabilities).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from typing import Protocol
 
 import numpy as np
 
 from repro.errors import PredictionError
-from repro.geometry.grid import CellId, Grid
+from repro.geometry.grid import Grid
 from repro.motion.kalman import ConstantVelocityModel2D, Gaussian, KalmanFilter
 from repro.motion.rls import RecursiveLeastSquares
 
@@ -209,15 +211,16 @@ def visit_probabilities(
     radius: int | None = None,
     center: np.ndarray | None = None,
     frame_extents: np.ndarray | None = None,
-) -> dict[CellId, float]:
+    forecasts: Sequence[Gaussian] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Probability of each nearby grid block being visited.
 
     For each forecast step the positional Gaussian is evaluated at the
-    centre of each candidate cell (cells within ``radius`` Chebyshev
-    rings of the client, or the whole grid when ``radius`` is None) and
-    scaled by the cell area -- a midpoint approximation of the integral
-    of eq. 3 over the block.  Step contributions are averaged and the
-    result normalised to sum to 1.
+    centres of all candidate cells at once (cells within ``radius``
+    Chebyshev rings of the client, or the whole grid when ``radius`` is
+    None) -- one factorisation per step -- and scaled by the cell area,
+    a midpoint approximation of the integral of eq. 3 over the block.
+    Step contributions are summed and the result normalised to sum to 1.
 
     ``frame_extents`` (the query frame's side lengths) widens each
     Gaussian by the frame's own footprint: a block is "visited" when the
@@ -225,11 +228,20 @@ def visit_probabilities(
     position uncertainty is convolved with a uniform box of that size
     (approximated by adding the box's variance ``extent^2 / 12``).
 
-    Returns an empty dict when the predictor is not ready.
+    ``forecasts`` hands in ``predictor.forecast_positions(n)`` for some
+    ``n >= steps`` when the caller already holds it; the first ``steps``
+    entries are used and the predictor is not asked again.
+
+    Returns ``(cells, probs)``: the ``(n, ndim)`` candidate cell ids, ring
+    by ring outwards from the client (row-major for the whole grid), and
+    their ``(n,)`` probabilities.  Both are empty when the predictor is
+    not ready.
     """
     if not predictor.ready:
-        return {}
-    forecasts = predictor.forecast_positions(steps)
+        return np.empty((0, grid.ndim), dtype=int), np.empty(0)
+    if forecasts is None:
+        forecasts = predictor.forecast_positions(steps)
+    forecasts = forecasts[:steps]
     if frame_extents is not None:
         extents = np.asarray(frame_extents, dtype=float)
         if extents.shape != (2,) or np.any(extents < 0):
@@ -240,21 +252,16 @@ def visit_probabilities(
         if center is None:
             raise PredictionError("radius requires the client position (center)")
         home = grid.cell_of_point(np.asarray(center, dtype=float))
-        candidates: list[CellId] = []
-        for r in range(0, radius + 1):
-            candidates.extend(grid.ring(home, r))
+        cells = grid.cells_within(home, radius)
     else:
-        candidates = list(grid.cells())
-    if not candidates:
-        return {}
+        cells = grid.cell_ids()
+    centers = grid.cell_centers(cells)
     cell_area = grid.cell_volume
-    weights = np.zeros(len(candidates))
+    weights = np.zeros(len(cells))
     for gaussian in forecasts:
-        for i, cell in enumerate(candidates):
-            weights[i] += gaussian.pdf(grid.cell_center(cell)) * cell_area
+        weights += gaussian.pdf_many(centers) * cell_area
     total = float(weights.sum())
     if total <= 0.0:
         # All mass escaped the candidate set; fall back to uniform.
-        uniform = 1.0 / len(candidates)
-        return {cell: uniform for cell in candidates}
-    return {cell: float(w / total) for cell, w in zip(candidates, weights)}
+        return cells, np.full(len(cells), 1.0 / len(cells))
+    return cells, weights / total

@@ -130,7 +130,7 @@ class ObjectDatabase:
         self._objects: dict[int, StoredObject] = {}
         self._method: AnyAccessMethod | None = None
         self._store: CoefficientStore | None = None
-        self._block_cache: dict[tuple[CellId, float, int], np.ndarray] = {}
+        self._block_cache: dict[tuple, np.ndarray] = {}
 
     # -- construction ---------------------------------------------------------------
 
@@ -382,11 +382,14 @@ class ObjectDatabase:
     def block_rows(self, grid: Grid, cell: CellId, w_min: float) -> np.ndarray:
         """Row ids of one buffer block: all records answering the cell.
 
-        Memoised per (cell, resolution) because the buffer managers ask
-        repeatedly; the query runs without I/O side effects on the
-        cached path.
+        Memoised per (cell, resolution, grid) because the buffer managers
+        ask repeatedly; the query runs without I/O side effects on the
+        cached path.  The grid enters the key by value, so every client
+        gridding the space the same way shares one entry (and a
+        collected grid's recycled ``id`` can never alias another's rows).
         """
-        key = (cell, round(w_min, 6), id(grid))
+        bounds = grid.space.low.tobytes() + grid.space.high.tobytes()
+        key = (cell, round(w_min, 6), grid.shape, bounds)
         if key in self._block_cache:
             return self._block_cache[key]
         rows = self.query_region_rows(grid.cell_box(cell), w_min, 1.0).rows

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import BufferError_
+from repro.errors import BufferError_, PredictionError
 from repro.geometry.box import Box
 from repro.geometry.grid import Grid
 from repro.buffering.manager import (
@@ -14,6 +14,7 @@ from repro.buffering.manager import (
     NaiveBufferManager,
     TickResult,
 )
+from repro.motion.predictor import KalmanMotionPredictor
 from repro.motion.trajectory import tram_tour
 
 SPACE = Box((0, 0), (1000, 1000))
@@ -176,6 +177,78 @@ class TestPrefetching:
         box = Box.from_center(pos, (100, 100))
         result = manager.tick(pos, 0.5, box, 0.5)
         assert result.misses > 0  # no crash; blocks stored as 1 byte
+
+
+class ScriptedPredictor:
+    """A Kalman predictor whose multi-step forecasts can be made to fail.
+
+    (The manager's own one-step forecast each tick is left alone.)
+    """
+
+    def __init__(self, failures: list[Exception] | None = None):
+        self._inner = KalmanMotionPredictor()
+        self._failures = failures or []
+        self.long_forecasts: list[int] = []
+
+    @property
+    def ready(self) -> bool:
+        return self._inner.ready
+
+    def observe(self, position: np.ndarray) -> None:
+        self._inner.observe(position)
+
+    def forecast_positions(self, steps: int):
+        if steps > 1:
+            self.long_forecasts.append(steps)
+            if self._failures:
+                raise self._failures.pop(0)
+        return self._inner.forecast_positions(steps)
+
+
+def straight_run(manager, ticks: int = 12):
+    for i in range(ticks):
+        pos = np.array([100.0 + 60.0 * i, 500.0])
+        yield manager.tick(pos, 0.5, Box.from_center(pos, (100, 100)), 0.5)
+
+
+class TestReachJudgement:
+    def test_one_long_forecast_per_contact(self, grid):
+        predictor = ScriptedPredictor()
+        manager = MotionAwareBufferManager(
+            grid, 64 * 1024, flat_block_bytes, predictor=predictor
+        )
+        prefetching = 0
+        for result in straight_run(manager):
+            # The reach judgement and the visit probabilities share it.
+            asked, predictor.long_forecasts = predictor.long_forecasts, []
+            assert len(asked) == 1 if result.prefetched_cells else len(asked) <= 1
+            prefetching += bool(result.prefetched_cells)
+            for cell in result.prefetch_cells:
+                assert all(type(v) is int for v in cell)
+        assert prefetching
+
+    def test_prediction_error_keeps_the_disc(self, grid):
+        """A predictor that cannot forecast yet costs reach, not the tick:
+        the disc radius stands and the probabilities forecast afresh."""
+        predictor = ScriptedPredictor([PredictionError("not yet")])
+        manager = MotionAwareBufferManager(
+            grid, 64 * 1024, flat_block_bytes, predictor=predictor
+        )
+        assert sum(r.prefetched_cells for r in straight_run(manager)) > 0
+        # The failed reach forecast was followed by a shorter, successful one.
+        assert predictor.long_forecasts[1] <= predictor.long_forecasts[0]
+
+    @pytest.mark.parametrize(
+        "bug", [ValueError("shape"), np.linalg.LinAlgError("singular")]
+    )
+    def test_other_errors_propagate(self, grid, bug):
+        """Only ``PredictionError`` means "no forecast"; anything else is a
+        bug and must not degrade silently to the disc radius."""
+        manager = MotionAwareBufferManager(
+            grid, 64 * 1024, flat_block_bytes, predictor=ScriptedPredictor([bug])
+        )
+        with pytest.raises(type(bug)):
+            list(straight_run(manager))
 
 
 class TestSessionStats:

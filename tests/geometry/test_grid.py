@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,61 @@ class TestQueries:
             grid.ring((0, 0), -1)
 
 
+def reference_ring(grid: Grid, cell, radius: int):
+    """Offsets in lexicographic order, kept when exactly ``radius`` away."""
+    spans = [range(-radius, radius + 1)] * grid.ndim
+    return [
+        tuple(c + d for c, d in zip(cell, delta))
+        for delta in itertools.product(*spans)
+        if max(abs(d) for d in delta) == radius
+        and grid.is_valid_cell(tuple(c + d for c, d in zip(cell, delta)))
+    ]
+
+
+GRIDS = [
+    Grid(Box((0, 0), (100, 50)), (10, 5)),
+    Grid(Box((-3.7, 12.25), (41.3, 19.0)), (9, 7)),
+    Grid(Box((0.1, -7.0, 1e3), (2.3, -1.0, 1e3 + 0.7)), (4, 3, 5)),
+]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: "x".join(map(str, g.shape)))
+class TestArrayForms:
+    def test_cell_ids_are_cells_in_order(self, grid: Grid):
+        ids = grid.cell_ids()
+        assert ids.shape == (grid.cell_count, grid.ndim)
+        assert [tuple(c) for c in ids.tolist()] == list(grid.cells())
+
+    def test_cell_centers_bit_equal_scalar(self, grid: Grid):
+        centers = grid.cell_centers(grid.cell_ids())
+        for cell, center in zip(grid.cells(), centers):
+            assert np.array_equal(center, grid.cell_center(cell))
+
+    def test_cell_centers_rejects_wrong_shape(self, grid: Grid):
+        with pytest.raises(GeometryError):
+            grid.cell_centers(np.zeros((3, grid.ndim + 1), dtype=int))
+        with pytest.raises(GeometryError):
+            grid.cell_centers(np.zeros(grid.ndim, dtype=int))
+
+    def test_cells_within_is_the_rings_in_order(self, grid: Grid):
+        corners = itertools.product(*[(0, s // 2, s - 1) for s in grid.shape])
+        for home in corners:  # every corner, edge midpoint and the middle
+            for radius in (0, 1, 2, max(grid.shape)):
+                within = grid.cells_within(home, radius)
+                assert within.shape[1] == grid.ndim
+                expected = [
+                    c for r in range(radius + 1) for c in reference_ring(grid, home, r)
+                ]
+                assert [tuple(c) for c in within.tolist()] == expected
+                assert grid.ring(home, radius) == reference_ring(grid, home, radius)
+
+    def test_cells_within_rejects_bad_arguments(self, grid: Grid):
+        with pytest.raises(GeometryError):
+            grid.cells_within((0,) * grid.ndim, -1)
+        with pytest.raises(GeometryError):
+            grid.cells_within((0,) * (grid.ndim + 1), 1)
+
+
 class TestProperties:
     @given(
         st.floats(0, 100, allow_nan=False),
@@ -172,6 +229,24 @@ class TestProperties:
             grid.cell_box(c).intersection_volume(box) for c in cells
         )
         assert covered == pytest.approx(box.volume, rel=1e-9, abs=1e-9)
+
+    @given(
+        st.lists(st.integers(1, 7), min_size=2, max_size=3),
+        st.floats(-1e3, 1e3, allow_nan=False),
+        st.floats(1e-3, 1e3, allow_nan=False),
+        st.integers(0, 8),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_array_forms_match_scalar(self, shape, low, side, radius, data):
+        grid = Grid(Box((low,) * len(shape), (low + side,) * len(shape)), shape)
+        home = tuple(data.draw(st.integers(0, s - 1)) for s in shape)
+        within = grid.cells_within(home, radius)
+        assert [tuple(c) for c in within.tolist()] == [
+            c for r in range(radius + 1) for c in reference_ring(grid, home, r)
+        ]
+        for cell, center in zip(within.tolist(), grid.cell_centers(within)):
+            assert np.array_equal(center, grid.cell_center(tuple(cell)))
 
 
 class TestThreeDimensional:

@@ -118,6 +118,39 @@ class TestQueries:
         assert first == second
         assert delta.node_reads == 0  # served from the memo
 
+    def test_equal_grids_share_one_memo_entry(self, db: ObjectDatabase):
+        """Every client builds its own Grid over the same space; the
+        memo is keyed on the grid's value, so they share the rows."""
+        first = Grid(Box((0, 0), (1000, 1000)), (10, 10))
+        second = Grid(Box((0.0, 0.0), (1000.0, 1000.0)), (10, 10))
+        assert first is not second
+        cell = first.cell_of_point((100.0, 200.0))
+        rows = db.block_rows(first, cell, 0.5)
+        method = db.access_method
+        method.stats.push()
+        assert db.block_rows(second, cell, 0.5) is rows
+        assert method.stats.pop_delta().node_reads == 0
+        assert len(db._block_cache) == 1
+
+    def test_different_grids_never_alias(self, db: ObjectDatabase):
+        """Same cell id, different cell: a different shape, or the same
+        shape over a different space, must not answer from the memo --
+        not even when a collected grid's ``id`` is handed out again."""
+        space = Box((0, 0), (1000, 1000))
+        cell = (1, 2)
+        for _ in range(8):
+            for grid in (
+                Grid(space, (10, 10)),
+                Grid(space, (5, 5)),
+                Grid(Box((0, 0), (500, 500)), (5, 5)),
+            ):
+                want = db.query_region_rows(grid.cell_box(cell), 0.0, 1.0).rows
+                assert np.array_equal(db.block_rows(grid, cell, 0.0), want)
+                del grid  # frees the id for the next grid
+        assert len(db._block_cache) == 3
+        sizes = {len(rows) for rows in db._block_cache.values()}
+        assert len(sizes) > 1  # the cells really do differ
+
     def test_block_cache_invalidated_on_add(self, db: ObjectDatabase):
         grid = Grid(Box((0, 0), (1000, 1000)), (10, 10))
         cell = grid.cell_of_point((700.0, 700.0))

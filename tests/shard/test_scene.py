@@ -21,6 +21,7 @@ import pytest
 
 from repro.errors import ShardError
 from repro.geometry.box import Box
+from repro.geometry.grid import Grid
 from repro.net.messages import LATEST_EPOCH, RegionRequest, RetrieveRequest
 from repro.server.scene import SceneDatabase
 from repro.server.server import Server
@@ -89,6 +90,27 @@ def delta_schedule(mono_db, sharded_db, city):
     for k in range(6):
         deltas.append(moves(k) if k % 2 == 0 else remesh(k // 2))
     return deltas
+
+
+@pytest.mark.parametrize("shards", [None, 3], ids=["monolithic", "sharded"])
+def test_epoch_advance_drops_the_block_memo(shard_city, shards):
+    """The value-keyed block-row memo is stale once geometry moves."""
+    db = scene_copy(shard_city) if shards is None else sharded_pair(shard_city, shards)[1]
+    ids = np.unique(shard_city.store.object_ids)
+    moved = shard_city.get_object(int(ids[0])).footprint
+    cell = Grid(WINDOW, (10, 10)).cell_of_point(moved.center)
+
+    def rows_uids(rows):
+        return db.store.packed_uids[rows]
+
+    before = rows_uids(db.block_rows(Grid(WINDOW, (10, 10)), cell, 0.0))
+    assert before.size
+    db.advance_epoch(rush_hour_deltas(ids[:1], amplitude=400.0, seed=1)(0))
+    grid = Grid(WINDOW, (10, 10))  # an equal grid: same memo key as before
+    after = rows_uids(db.block_rows(grid, cell, 0.0))
+    fresh = rows_uids(db.query_region_rows(grid.cell_box(cell), 0.0, 1.0).rows)
+    assert np.array_equal(after, fresh)
+    assert not np.array_equal(after, before)
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
