@@ -5,12 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.fleet import make_flat_ticks
 from repro.geometry.box import Box
 from repro.index.bulk import bulk_load
 from repro.index.hilbert import hilbert_bulk_load
-from repro.index.packed import PackedIndex
+from repro.index.packed import PackedIndex, corners_query_batch
 from repro.index.rstar import RStarTree
 from repro.index.rtree import RTree
+from repro.shard import ShardCornerTask, ShardedDatabase
+from repro.workloads.cityscape import CityConfig, build_city
 
 
 def _items(n: int, seed: int = 0):
@@ -125,3 +128,61 @@ def test_delete_1000(benchmark):
 
     tree = benchmark.pedantic(build_and_delete, rounds=1, iterations=1)
     assert len(tree) == 3000
+
+
+# -- the whole-fleet tick's two kernels ---------------------------------------
+
+FLEET_SPACE = Box((0.0, 0.0), (1000.0, 1000.0))
+
+
+@pytest.fixture(scope="module")
+def fleet_scatter():
+    """One 2000-client flat tick planned over a four-shard 48-object city
+    (the ``fleet_flat`` sizing): 590-725 corner queries per shard, ~190 k
+    gathered rows."""
+    city = build_city(
+        CityConfig(
+            space=FLEET_SPACE,
+            object_count=48,
+            levels=2,
+            min_size_frac=0.02,
+            max_size_frac=0.05,
+            seed=48,
+        )
+    )
+    sharded = ShardedDatabase.from_database(city, 4)
+    (tick,) = make_flat_ticks(FLEET_SPACE, 2000, 1, seed=7, query_frac=0.12)
+    qlow = np.concatenate([tick.low, tick.w_min[:, None]], axis=1)
+    qhigh = np.concatenate([tick.high, tick.w_max[:, None]], axis=1)
+    hits = sharded.plan_corners(qlow, qhigh)
+    assignments = [np.flatnonzero(hits[:, s]) for s in range(4)]
+    tasks = [
+        ShardCornerTask(shard=s, qlow=qlow[idx], qhigh=qhigh[idx])
+        for s, idx in enumerate(assignments)
+    ]
+    yield sharded, tick.count, assignments, tasks
+    sharded.close()
+
+
+def test_batch_walk_one_shard(benchmark, fleet_scatter):
+    """``query_slots_many`` under one shard's share of a fleet tick."""
+    sharded, _, _, tasks = fleet_scatter
+    task = tasks[0]
+    packed = sharded.slices[0].db.packed_access_method().packed
+    rows, counts, io = benchmark(
+        corners_query_batch, packed, task.qlow, task.qhigh
+    )
+    benchmark.extra_info.update(
+        queries=len(counts), rows=int(rows.size), node_reads=int(io[:, 0].sum())
+    )
+    assert 400 <= len(counts) <= 900
+    assert rows.size == counts.sum() > 0
+
+
+def test_gather_sort_whole_tick(benchmark, fleet_scatter):
+    """``assemble_flat``: the one-key sort over a whole tick's rows."""
+    sharded, count, assignments, tasks = fleet_scatter
+    batches = sharded.executor.run(tasks)
+    flat = benchmark(sharded.assemble_flat, assignments, batches, count)
+    benchmark.extra_info.update(rows=int(flat.rows.size), queries=count)
+    assert flat.rows.size > 150_000

@@ -47,6 +47,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from bench_fleet import machine_context  # sibling script: one definition
 from repro.core.fleet import make_flat_ticks
 from repro.geometry.box import Box
 from repro.net.messages import RegionRequest, RetrieveRequest
@@ -314,6 +315,12 @@ def run(smoke: bool) -> dict:
     batched = time_fleet_ticks(
         city, headline_shards, ratio_clients, tick_count, SerialShardExecutor()
     )
+    sweep = [
+        time_fleet_ticks(
+            city, headline_shards, count, tick_count, SerialShardExecutor()
+        )
+        for count in sweep_clients
+    ]
     fleet_tick = {
         "shards": headline_shards,
         "parity_clients": parity_clients,
@@ -324,13 +331,12 @@ def run(smoke: bool) -> dict:
         "per_request_s": round(per_request_s, 4),
         "fleet_tick_s": batched["tick_s"],
         "tick_speedup": round(per_request_s / batched["tick_s"], 2),
-        "sweep": [
-            time_fleet_ticks(
-                city, headline_shards, count, tick_count,
-                SerialShardExecutor(),
-            )
-            for count in sweep_clients
-        ],
+        "sweep": sweep,
+        # Tick cost of the largest fleet over the smallest (10x the
+        # clients at full scale; linear would read 10, and a lone smoke
+        # point reads 1).  Deliberately not named ``*_speedup``: it is
+        # a trajectory figure, not a gated ratio.
+        "sweep_tick_ratio": round(sweep[-1]["tick_s"] / sweep[0]["tick_s"], 2),
     }
 
     return {
@@ -343,6 +349,7 @@ def run(smoke: bool) -> dict:
             "ticks": ticks,
             "smoke": smoke,
         },
+        "machine": machine_context(),
         "scatter_gather": scatter_gather,
         "shard_skew": skew_section(city, headline_shards),
         "shard_scaling": curve,

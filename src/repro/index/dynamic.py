@@ -60,9 +60,16 @@ import numpy as np
 
 from repro.errors import IndexError_
 from repro.geometry.box import Box
-from repro.index.access import AccessResult, _spatial_query_box
+from repro.index.access import AccessResult
 from repro.index.columnar import RowResult
-from repro.index.packed import PackedCandidates, PackedIndex, PackedLevel
+from repro.index.packed import (
+    PackedCandidates,
+    PackedIndex,
+    PackedLevel,
+    corners_query_batch,
+    query_corner_box,
+    subquery_corners,
+)
 from repro.index.rtree import DEFAULT_NODE_CAPACITY
 from repro.index.stats import IOStats
 from repro.store.columns import CoefficientStore
@@ -574,13 +581,7 @@ class _PackedQuerySurface:
 
     def query_box(self, region: Box, w_min: float, w_max: float) -> Box:
         """The full index-space box of ``Q(region, w_min, w_max)``."""
-        if not 0.0 <= w_min <= w_max <= 1.0:
-            raise IndexError_(
-                f"invalid value band [{w_min}, {w_max}]; "
-                "need 0 <= min <= max <= 1"
-            )
-        spatial = _spatial_query_box(region, self.spatial_dims)
-        return spatial.augment([w_min], [w_max])
+        return query_corner_box(region, w_min, w_max, self.spatial_dims)
 
     def query_rows(
         self,
@@ -606,16 +607,8 @@ class _PackedQuerySurface:
         if not subqueries:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, np.zeros((0, 3), dtype=np.int64)
-        boxes = [
-            self.query_box(region, w_min, w_max)
-            for region, w_min, w_max in subqueries
-        ]
-        qlow = np.vstack([box.low for box in boxes])
-        qhigh = np.vstack([box.high for box in boxes])
-        packed = self.packed
-        slots, slot_qid, io = packed.query_slots_many(qlow, qhigh)
-        counts = np.bincount(slot_qid, minlength=len(boxes)).astype(np.int64)
-        return packed.rows[slots], counts, io
+        qlow, qhigh = subquery_corners(subqueries, self.spatial_dims)
+        return corners_query_batch(self.packed, qlow, qhigh)
 
     def query_rows_many(
         self, subqueries: Sequence[tuple[Box, float, float]]

@@ -18,6 +18,10 @@ needed.  Per level the index stores::
     node_start   (N + 1,)  int64     entries of node i live in
                                      [node_start[i], node_start[i+1])
 
+These three arrays are the one serialised form of a level; the batch
+walk additionally derives per-axis contiguous columns from them on
+first use (:attr:`PackedLevel.axis_columns`).
+
 and, at the leaf level only, ``rows`` -- an ``int64`` array mapping leaf
 entry slots to payload row ids (store rows for the access method below,
 or positions in the compiled payload list for generic trees).
@@ -40,6 +44,7 @@ answers ``Q(R, w_min, w_max)`` as store row ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -116,8 +121,8 @@ def corners_query_batch(
     bit-identical by construction.
     """
     slots, slot_qid, io = packed.query_slots_many(qlow, qhigh)
-    counts = np.bincount(slot_qid, minlength=int(qlow.shape[0])).astype(
-        np.int64
+    counts = np.bincount(slot_qid, minlength=len(io)).astype(
+        np.int64, copy=False
     )
     return packed.rows[slots], counts, io
 
@@ -137,6 +142,21 @@ class PackedLevel:
     @property
     def entry_count(self) -> int:
         return int(self.low.shape[0])
+
+    @cached_property
+    def axis_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ndim, E)`` transposes of ``low``/``high``, derived lazily.
+
+        Row ``d`` is axis ``d``'s entry bounds as one contiguous 1-D
+        column, the layout the batch walk's chained per-axis test
+        gathers from.  Only :meth:`PackedIndex.query_slots_many` asks
+        for it, once per level; ``low``/``high`` stay the form that is
+        compiled, patched, published and compared.
+        """
+        return (
+            np.ascontiguousarray(self.low.T),
+            np.ascontiguousarray(self.high.T),
+        )
 
 
 @dataclass(frozen=True)
@@ -355,6 +375,11 @@ class PackedIndex:
         work across queries is what makes a scatter batch cheap: the
         fixed per-level call overhead is paid once for the whole batch
         instead of once per query.
+
+        The hit test runs one axis at a time over
+        :attr:`PackedLevel.axis_columns`, dropping the (slot, query)
+        pairs an axis rejects before the next axis looks at them: 1-D
+        gathers over a shrinking survivor list.
         """
         qlow = np.asarray(qlow, dtype=np.float64)
         qhigh = np.asarray(qhigh, dtype=np.float64)
@@ -378,6 +403,8 @@ class PackedIndex:
         # (query, node); root node 0 seeds every query.
         frontier = np.zeros(nq, dtype=np.int64)
         qid = np.arange(nq, dtype=np.int64)
+        qlow_cols = np.ascontiguousarray(qlow.T)
+        qhigh_cols = np.ascontiguousarray(qhigh.T)
         last = len(self._levels) - 1
         for depth, level in enumerate(self._levels):
             starts = level.node_start[frontier]
@@ -395,13 +422,13 @@ class PackedIndex:
             )
             slots = _expand_ranges(starts, counts)
             slot_qid = np.repeat(qid, counts)
-            low = level.low[slots]
-            high = level.high[slots]
-            hit = np.all(
-                (low <= qhigh[slot_qid]) & (high >= qlow[slot_qid]), axis=1
-            )
-            slots = slots[hit]
-            slot_qid = slot_qid[hit]
+            for low_d, high_d, qlow_d, qhigh_d in zip(
+                *level.axis_columns, qlow_cols, qhigh_cols, strict=True
+            ):
+                keep = low_d[slots] <= qhigh_d[slot_qid]
+                keep &= high_d[slots] >= qlow_d[slot_qid]
+                slots = slots[keep]
+                slot_qid = slot_qid[keep]
             if depth == last:
                 return slots, slot_qid, io
             if slots.size == 0:

@@ -402,8 +402,7 @@ class ShardCoordinator(Server):
         # identity and payloads price straight off the size column.
         store = db.store
         rows = gather.rows
-        per_client = np.diff(gather.offsets)
-        qid = np.repeat(np.arange(count, dtype=np.int64), per_client)
+        qid = gather.qid
         payload = np.bincount(
             qid, weights=store.sizes[rows], minlength=count
         ).astype(np.int64)
@@ -430,6 +429,6 @@ class ShardCoordinator(Server):
             consulted=gather.consulted,
             payload_bytes=payload,
             new_base_counts=np.bincount(new_qid, minlength=count).astype(
-                np.int64
+                np.int64, copy=False
             ),
         )

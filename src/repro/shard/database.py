@@ -86,13 +86,16 @@ class FlatGather:
     """A whole scatter batch gathered as flat arrays, not per-query objects.
 
     Sub-query ``q`` owns ``rows[offsets[q]:offsets[q + 1]]``, already in
-    the canonical ascending packed-uid order; ``io`` is the ``(Q, 3)``
-    per-sub-query ``(node_reads, leaf_reads, entries_scanned)`` matrix
-    and ``consulted[q]`` the number of shards that answered ``q`` (the
-    per-query ``IOStats.queries`` of the object path).
+    the canonical ascending packed-uid order, and ``qid`` names the
+    owning sub-query of every row (ascending, ``offsets`` expanded);
+    ``io`` is the ``(Q, 3)`` per-sub-query ``(node_reads, leaf_reads,
+    entries_scanned)`` matrix and ``consulted[q]`` the number of shards
+    that answered ``q`` (the per-query ``IOStats.queries`` of the
+    object path).
     """
 
     rows: np.ndarray
+    qid: np.ndarray
     offsets: np.ndarray
     io: np.ndarray
     consulted: np.ndarray
@@ -513,36 +516,55 @@ class ShardedDatabase(ObjectDatabase):
 
         The vectorised sibling of :meth:`assemble` for fleet-scale
         batches: instead of building ``total`` :class:`RowResult`
-        objects it sorts the concatenated rows once by ``(sub-query,
+        objects it sorts every gathered row once by ``(sub-query,
         packed uid)`` -- the same canonical per-query ascending-uid
         order, since uids are globally unique -- and returns the flat
-        :class:`FlatGather` arrays.  Row-for-row identical to
-        :meth:`assemble` (and detached from any executor ring memory).
+        :class:`FlatGather` arrays.  The two sort keys are folded into
+        one ``int64``, ``sub-query * n_rows + uid_rank[row]``
+        (:attr:`~repro.store.columns.CoefficientStore.uid_rank`), so a
+        single in-place ``sort`` replaces a two-key ``lexsort`` and
+        both parts read back out of the sorted key.  Row-for-row
+        identical to :meth:`assemble` (and detached from any executor
+        ring memory); raises :class:`ShardError` when ``total *
+        n_rows`` cannot fit the key.
         """
-        uids = self.store.packed_uids
+        store = self.store
+        n_rows = len(store)
+        if total * n_rows > np.iinfo(np.int64).max:
+            raise ShardError(
+                f"{total} sub-queries over {n_rows} store rows overflow the "
+                f"int64 (sub-query, uid rank) gather key"
+            )
+        uid_rank = store.uid_rank
         io = np.zeros((total, 3), dtype=np.int64)
         consulted = np.zeros(total, dtype=np.int64)
-        row_parts: list[np.ndarray] = []
-        qid_parts: list[np.ndarray] = []
+        per_query = np.zeros(total, dtype=np.int64)
+        # One int64 key per gathered row: the sub-query in the high
+        # part, the row's rank in ascending-uid order in the low part.
+        key = np.empty(sum(batch.rows.size for batch in batches), np.int64)
+        filled = 0
         for indices, batch in zip(assignments, batches):
             index_arr = np.asarray(indices, dtype=np.int64)
-            row_parts.append(batch.rows)
-            qid_parts.append(np.repeat(index_arr, batch.counts))
             if index_arr.size:
                 io[index_arr] += batch.io
                 consulted[index_arr] += 1
-        if row_parts:
-            all_rows = np.concatenate(row_parts)
-            all_qid = np.concatenate(qid_parts)
-        else:
-            all_rows = np.empty(0, dtype=np.int64)
-            all_qid = np.empty(0, dtype=np.int64)
-        order = np.lexsort((uids[all_rows], all_qid))
-        rows = all_rows[order]
+                per_query[index_arr] += batch.counts
+            np.add(
+                np.repeat(index_arr * n_rows, batch.counts),
+                uid_rank[batch.rows],
+                out=key[filled : filled + batch.rows.size],
+            )
+            filled += batch.rows.size
+        key.sort()
+        qid, rank = np.divmod(key, n_rows)
         offsets = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(np.bincount(all_qid, minlength=total), out=offsets[1:])
+        np.cumsum(per_query, out=offsets[1:])
         return FlatGather(
-            rows=rows, offsets=offsets, io=io, consulted=consulted
+            rows=store.uid_order[rank],
+            qid=qid,
+            offsets=offsets,
+            io=io,
+            consulted=consulted,
         )
 
     def gather_rows(self, parts: Sequence[RowResult]) -> RowResult:

@@ -89,6 +89,7 @@ class CoefficientStore:
         "_data",
         "_uids",
         "_uid_order",
+        "_uid_rank",
         "_uids_sorted",
         "_object_ids",
         "_levels",
@@ -123,6 +124,7 @@ class CoefficientStore:
         )
         self._uids.setflags(write=False)
         self._uid_order: np.ndarray | None = None
+        self._uid_rank: np.ndarray | None = None
         self._uids_sorted: np.ndarray | None = None
 
     @staticmethod
@@ -246,6 +248,31 @@ class CoefficientStore:
         return self._uids
 
     @property
+    def uid_order(self) -> np.ndarray:
+        """Row ids in ascending packed-uid order (stable; cached)."""
+        if self._uid_order is None:
+            order = np.argsort(self._uids, kind="stable")
+            order.setflags(write=False)
+            self._uid_order = order
+        return self._uid_order
+
+    @property
+    def uid_rank(self) -> np.ndarray:
+        """Each row's position in :attr:`uid_order` (its inverse; cached).
+
+        ``uid_rank[row]`` is a dense ``[0, n)`` stand-in for the row's
+        packed uid that sorts identically, so a composite integer key
+        can carry it where the 63-bit uid itself would not fit.
+        """
+        if self._uid_rank is None:
+            order = self.uid_order
+            rank = np.empty(order.size, dtype=np.int64)
+            rank[order] = np.arange(order.size, dtype=np.int64)
+            rank.setflags(write=False)
+            self._uid_rank = rank
+        return self._uid_rank
+
+    @property
     def base_mask(self) -> np.ndarray:
         """Boolean mask of base-vertex rows (``level == -1``)."""
         return self._levels == -1
@@ -319,17 +346,15 @@ class CoefficientStore:
         Raises :class:`StoreError` when any key is not present.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        if self._uid_order is None:
-            self._uid_order = np.argsort(self._uids, kind="stable")
-            self._uids_sorted = self._uids[self._uid_order]
-        assert self._uids_sorted is not None
+        if self._uids_sorted is None:
+            self._uids_sorted = self._uids[self.uid_order]
         pos = np.searchsorted(self._uids_sorted, keys)
         if keys.size:
             if int(pos.max(initial=0)) >= self._uids_sorted.size:
                 raise StoreError("unknown uid in lookup")
             if not bool(np.all(self._uids_sorted[pos] == keys)):
                 raise StoreError("unknown uid in lookup")
-        return self._uid_order[pos]
+        return self.uid_order[pos]
 
     def row_for_uid(self, uid: tuple[int, int, int]) -> int:
         """Row id of one ``(object_id, level, index)`` triple."""

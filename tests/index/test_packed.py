@@ -4,7 +4,10 @@ The packed compilation must answer every window query with the same
 payload/row sets AND the same node-access accounting as the object walk
 (``search_entries``), on every build path (dynamic Guttman, dynamic R*,
 STR and Hilbert bulk loads), so paper-figure I/O numbers survive the
-flat traversal unchanged.  Runs under ``hypothesis`` when installed;
+flat traversal unchanged.  The batch walk (``query_slots_many``) is in
+turn pinned against a loop of solo ``query_slots`` calls: same slots in
+the same order, same per-query I/O matrix, same aggregate billing.
+Runs under ``hypothesis`` when installed;
 the same property is always exercised by seeded-random parametrization
 (pattern from ``tests/store/test_properties.py``).
 """
@@ -19,7 +22,7 @@ from repro.geometry.box import Box
 from repro.index.access import MotionAwareAccessMethod
 from repro.index.bulk import bulk_load
 from repro.index.hilbert import hilbert_bulk_load
-from repro.index.packed import PackedAccessMethod, PackedIndex
+from repro.index.packed import PackedAccessMethod, PackedIndex, PackedLevel
 from repro.index.rstar import RStarTree
 from repro.index.rtree import RTree
 
@@ -125,6 +128,159 @@ class TestTraversalParitySeeded:
         assert_query_parity(tree, packed, Box((-20.0, -20.0), (-15.0, -15.0)))
 
 
+def random_corners(rng, nq: int, ndim: int):
+    low = rng.uniform(-10.0, 100.0, (nq, ndim))
+    return low, low + rng.uniform(0.0, 40.0, (nq, ndim))
+
+
+def assert_batch_parity(
+    packed: PackedIndex, qlow: np.ndarray, qhigh: np.ndarray
+) -> None:
+    """The batch walk equals a loop of solo walks, order and billing too."""
+    empty = np.empty(0, dtype=np.int64)
+    want_slots, want_qid, want_io = [empty], [empty], []
+    for q in range(len(qlow)):
+        packed.stats.push()
+        slots = packed.query_slots(Box(qlow[q], qhigh[q]))
+        solo = packed.stats.pop_delta()
+        want_slots.append(slots)
+        want_qid.append(np.full(slots.size, q, dtype=np.int64))
+        want_io.append(
+            (solo.node_reads, solo.leaf_reads, solo.entries_scanned)
+        )
+    packed.stats.push()
+    slots, slot_qid, io = packed.query_slots_many(qlow, qhigh)
+    billed = packed.stats.pop_delta()
+    for array in (slots, slot_qid, io):
+        assert array.dtype == np.int64
+    assert np.array_equal(slots, np.concatenate(want_slots))
+    assert np.array_equal(slot_qid, np.concatenate(want_qid))
+    assert np.array_equal(
+        io, np.array(want_io, dtype=np.int64).reshape(-1, 3)
+    )
+    assert billed.queries == len(qlow)
+    assert billed.node_reads == int(io[:, 0].sum())
+    assert billed.leaf_reads == int(io[:, 1].sum())
+    assert billed.entries_scanned == int(io[:, 2].sum())
+
+
+class TestBatchWalkParity:
+    """``query_slots_many`` vs a loop of solo ``query_slots`` calls."""
+
+    @pytest.mark.parametrize("seed", SEEDS[:8])
+    @pytest.mark.parametrize("builder", ["str", "hilbert", "guttman", "rstar"])
+    def test_random_batches(self, builder, seed):
+        rng = np.random.default_rng(seed)
+        packed = PackedIndex.from_tree(
+            build_tree(builder, random_items(rng, 250, 3))
+        )
+        assert_batch_parity(packed, *random_corners(rng, 40, 3))
+
+    def test_degenerate_and_all_covering_boxes(self):
+        rng = np.random.default_rng(99)
+        packed = PackedIndex.from_tree(
+            bulk_load(random_items(rng, 200, 2), max_entries=8)
+        )
+        qlow = np.array(
+            [[50.0, 50.0], [-10.0, -10.0], [-20.0, -20.0], [30.0, 30.0]]
+        )
+        qhigh = np.array(
+            [[50.0, 50.0], [200.0, 200.0], [-15.0, -15.0], [30.0, 70.0]]
+        )
+        assert_batch_parity(packed, qlow, qhigh)
+        slots, slot_qid, _ = packed.query_slots_many(qlow, qhigh)
+        # The all-covering box answers every leaf slot, in slot order.
+        assert np.array_equal(slots[slot_qid == 1], np.arange(len(packed)))
+        assert not (slot_qid == 2).any()
+
+    def test_every_query_dies_at_the_root(self):
+        rng = np.random.default_rng(3)
+        packed = PackedIndex.from_tree(
+            bulk_load(random_items(rng, 300, 2), max_entries=8)
+        )
+        assert packed.height >= 3
+        qlow = np.full((5, 2), -50.0)
+        qhigh = np.full((5, 2), -40.0)
+        assert_batch_parity(packed, qlow, qhigh)
+        slots, slot_qid, io = packed.query_slots_many(qlow, qhigh)
+        assert slots.size == 0 and slot_qid.size == 0
+        # Early exit: only the root was read, and it is not a leaf.
+        root_entries = packed.levels[0].entry_count
+        assert np.array_equal(io, np.tile([1, 0, root_entries], (5, 1)))
+
+    def test_empty_batch_and_empty_index(self):
+        rng = np.random.default_rng(4)
+        packed = PackedIndex.from_tree(
+            bulk_load(random_items(rng, 50, 2), max_entries=8)
+        )
+        slots, slot_qid, io = packed.query_slots_many(
+            np.empty((0, 2)), np.empty((0, 2))
+        )
+        assert slots.size == 0 and slot_qid.size == 0
+        assert io.shape == (0, 3)
+        assert packed.stats.queries == 0 and packed.stats.node_reads == 0
+        empty = PackedIndex.from_tree(RTree())
+        slots, slot_qid, io = empty.query_slots_many(
+            *random_corners(rng, 3, 2)
+        )
+        assert slots.size == 0 and slot_qid.size == 0
+        assert np.array_equal(io, np.zeros((3, 3), dtype=np.int64))
+        # Three queries were asked; no node exists to read.
+        assert empty.stats.queries == 3 and empty.stats.node_reads == 0
+
+    def test_malformed_corners_rejected(self):
+        rng = np.random.default_rng(5)
+        packed = PackedIndex.from_tree(
+            bulk_load(random_items(rng, 50, 2), max_entries=8)
+        )
+        with pytest.raises(IndexError_, match="does not match index"):
+            packed.query_slots_many(*random_corners(rng, 4, 3))
+        with pytest.raises(IndexError_, match="matching"):
+            packed.query_slots_many(np.zeros((4, 2)), np.zeros((3, 2)))
+        with pytest.raises(IndexError_, match="matching"):
+            packed.query_slots_many(np.zeros(2), np.zeros(2))
+
+    def test_index_over_read_only_buffer_views(self):
+        """The shm worker's construction: ``np.frombuffer`` views.
+
+        The per-axis columns must derive from arrays that can be
+        neither written nor re-owned, and must leave them untouched.
+        """
+        rng = np.random.default_rng(6)
+        source = PackedIndex.from_tree(
+            bulk_load(random_items(rng, 300, 3), max_entries=8)
+        )
+
+        def view(array: np.ndarray) -> np.ndarray:
+            out = np.frombuffer(array.tobytes(), dtype=array.dtype)
+            assert not out.flags.writeable and not out.flags.owndata
+            return out.reshape(array.shape)
+
+        levels = [
+            PackedLevel(
+                low=view(level.low),
+                high=view(level.high),
+                node_start=view(level.node_start),
+            )
+            for level in source.levels
+        ]
+        attached = PackedIndex(levels, view(source.rows), (), ndim=source.ndim)
+        qlow, qhigh = random_corners(rng, 30, 3)
+        assert_batch_parity(attached, qlow, qhigh)
+        want = source.query_slots_many(qlow, qhigh)
+        for _ in range(2):  # second walk reads the cached columns
+            got = attached.query_slots_many(qlow, qhigh)
+            for have, expect in zip(got, want):
+                assert np.array_equal(have, expect)
+        for level, original in zip(attached.levels, source.levels):
+            low_cols, high_cols = level.axis_columns
+            assert low_cols is level.axis_columns[0]  # derived once
+            assert np.array_equal(low_cols, original.low.T)
+            assert np.array_equal(high_cols, original.high.T)
+            assert low_cols[0].flags.c_contiguous
+            assert np.array_equal(level.low, original.low)
+
+
 class TestAccessMethodParitySeeded:
     """Store-backed packed method vs the record-backed object tree."""
 
@@ -196,3 +352,22 @@ if HAVE_HYPOTHESIS:
             low = np.array([cx - ex / 2, cy - ey / 2, cw - ew / 2])
             high = np.array([cx + ex / 2, cy + ey / 2, cw + ew / 2])
             assert_query_parity(tree, packed, Box(low, high))
+
+    class TestBatchWalkParityHypothesis:
+        @settings(max_examples=60, deadline=None)
+        @given(
+            boxes=st.lists(
+                st.tuples(
+                    *[st.floats(-10.0, 110.0)] * 3,
+                    *[st.floats(0.0, 60.0)] * 3,
+                ),
+                max_size=12,
+            )
+        )
+        def test_any_batch(self, hyp_pair, boxes):
+            _, packed = hyp_pair
+            corners = np.array(boxes, dtype=np.float64).reshape(-1, 6)
+            center, extent = corners[:, :3], corners[:, 3:]
+            assert_batch_parity(
+                packed, center - extent / 2, center + extent / 2
+            )

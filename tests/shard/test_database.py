@@ -15,7 +15,13 @@ import pytest
 
 from repro.errors import ShardError
 from repro.geometry.box import Box
-from repro.shard import SerialShardExecutor, ShardMap, ShardedDatabase
+from repro.server.database import ObjectDatabase
+from repro.shard import (
+    SerialShardExecutor,
+    ShardCornerTask,
+    ShardMap,
+    ShardedDatabase,
+)
 
 try:
     from hypothesis import given, settings
@@ -148,6 +154,109 @@ else:  # pragma: no cover - depends on the environment
                 float(rng.uniform(0.0, 1.0)),
                 float(rng.uniform(0.0, 1.0)),
             )
+
+
+def scatter_corners(db: ShardedDatabase, queries):
+    """Plan + scatter a corner batch the way the fleet tick does."""
+    qlow = np.array(
+        [[*region.low, w_min] for region, w_min, _ in queries], dtype=float
+    )
+    qhigh = np.array(
+        [[*region.high, w_max] for region, _, w_max in queries], dtype=float
+    )
+    hits = db.plan_corners(qlow, qhigh)
+    tasks, assignments = [], []
+    for shard in range(db.shard_count):
+        indices = np.flatnonzero(hits[:, shard])
+        if indices.size:
+            tasks.append(
+                ShardCornerTask(
+                    shard=shard, qlow=qlow[indices], qhigh=qhigh[indices]
+                )
+            )
+            assignments.append(indices)
+    return assignments, db.executor.run(tasks)
+
+
+def assert_flat_matches_assemble(db: ShardedDatabase, queries) -> None:
+    assignments, batches = scatter_corners(db, queries)
+    total = len(queries)
+    flat = db.assemble_flat(assignments, batches, total)
+    reference = db.assemble(assignments, batches, total)
+    assert flat.query_count == total
+    assert flat.offsets[0] == 0 and flat.offsets[-1] == flat.rows.size
+    for array in (flat.rows, flat.qid, flat.offsets, flat.io, flat.consulted):
+        assert array.dtype == np.int64
+    assert np.array_equal(
+        flat.qid, np.repeat(np.arange(total), np.diff(flat.offsets))
+    )
+    for q, want in enumerate(reference):
+        got = flat.rows[flat.offsets[q] : flat.offsets[q + 1]]
+        assert np.array_equal(got, want.rows)
+        assert tuple(flat.io[q]) == (
+            want.io.node_reads,
+            want.io.leaf_reads,
+            want.io.entries_scanned,
+        )
+        assert int(flat.consulted[q]) == want.io.queries
+
+
+class TestFlatGather:
+    """``assemble_flat`` (one-key sort) vs ``assemble`` (per-query argsort)."""
+
+    #: A corner window keeps most of an 8-way tiling's shards idle;
+    #: the two misses are sub-queries no shard answers.
+    SPARSE = [
+        QUERIES[4],
+        (Box((0.0, 100.0), (250.0, 400.0)), 0.0, 1.0),
+        (Box((-900.0, -900.0), (-800.0, -800.0)), 0.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_row_for_row(self, shard_city, shards):
+        assert_flat_matches_assemble(
+            sharded_for(shard_city, shards), QUERIES + self.SPARSE
+        )
+
+    def test_misses_and_idle_shards(self, shard_city):
+        db = sharded_for(shard_city, 8)
+        assignments, batches = scatter_corners(db, self.SPARSE)
+        assert 0 < len(batches) < db.shard_count  # some shards got no task
+        flat = db.assemble_flat(assignments, batches, len(self.SPARSE))
+        assert flat.offsets.tolist()[:2] == [0, 0]  # the leading miss
+        assert flat.consulted.tolist()[0] == 0
+        assert flat.consulted.tolist()[2] == 0
+        assert flat.rows.size == flat.offsets[2] > 0
+        assert_flat_matches_assemble(db, self.SPARSE)
+
+    def test_nothing_scattered(self, shard_city):
+        flat = sharded_for(shard_city, 4).assemble_flat([], [], 3)
+        assert flat.rows.size == 0 and flat.qid.size == 0
+        assert flat.offsets.tolist() == [0, 0, 0, 0]
+        assert not flat.io.any() and not flat.consulted.any()
+
+    def test_store_rows_not_in_uid_order(self, shard_city):
+        """Descending object ids: row index and uid rank disagree, so a
+        key built from the raw row id would deliver the wrong order."""
+        backwards = ObjectDatabase.from_objects(
+            reversed(shard_city.objects),
+            encoding=shard_city.encoding,
+            spatial_dims=shard_city.spatial_dims,
+        )
+        store = backwards.store
+        assert not np.array_equal(store.uid_rank, np.arange(len(store)))
+        with ShardedDatabase.from_database(backwards, 4) as db:
+            assert_flat_matches_assemble(db, QUERIES)
+            assignments, batches = scatter_corners(db, QUERIES[:1])
+            flat = db.assemble_flat(assignments, batches, 1)
+            assert flat.rows.size == len(store)
+            assert np.all(np.diff(store.packed_uids[flat.rows]) > 0)
+
+    def test_key_overflow_rejected(self, shard_city):
+        db = sharded_for(shard_city, 4)
+        fits = np.iinfo(np.int64).max // len(db.store)
+        with pytest.raises(ShardError, match="overflow"):
+            db.assemble_flat([], [], fits + 1)
 
 
 class TestPlanning:

@@ -7,9 +7,15 @@ pass over ``FleetTick.to_requests()`` -- across consecutive ticks, so
 the vectorised shipped-bases matrix tracks the server's per-client
 table exactly (while the fleet fits ``max_clients``, which these
 fleets do), and over the shm executor as well as the serial one.
+
+That parity shares the index walk and the gather on both sides, so a
+drift common to both would pass it; the golden digests below pin the
+absolute :class:`FleetTickResult` arrays instead.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -26,6 +32,18 @@ from .conftest import SPACE
 
 CLIENTS = 24
 TICKS = 3
+
+#: ``shard count -> SHA-256`` over every array of three consecutive
+#: ticks' :class:`FleetTickResult`, captured on the 2-D row gather +
+#: ``np.all(axis=1)`` walk and the two-key ``lexsort`` gather
+#: immediately before both kernels were replaced.  Executors do not
+#: key the table: serial and shm must produce the same bytes.
+GOLDEN_CLIENTS = 64
+GOLDEN_DIGESTS = {
+    1: "ac54caec0d012962af3ead785306e1b63e81f69e275c89d6375b7f9985e02860",
+    2: "44bda0c75b049bdbee91a11188b49265ae0c0675a0c558e288ea47ac7a0dd9e9",
+    4: "baf15130895a26b7b0434929af7aa20bfe5b482ce6c8ee520d077c4f425604ea",
+}
 
 
 def _empty_tick(timestamp: int = 0) -> FleetTick:
@@ -67,6 +85,42 @@ def test_fleet_tick_matches_per_request_path(shard_city, executor) -> None:
         # The workload must actually exercise base shipping for the
         # cross-tick state parity above to mean anything.
         assert saw_new_base
+
+
+def fleet_digest(city, shard_count: int, executor: str) -> str:
+    ticks = make_flat_ticks(
+        SPACE, GOLDEN_CLIENTS, TICKS, seed=13, query_frac=0.3
+    )
+    digest = hashlib.sha256()
+    with ShardedDatabase.from_database(
+        city, shard_count, executor=executor
+    ) as db:
+        fleet = ShardCoordinator(db)
+        shipping = fleet.fleet_shipping(GOLDEN_CLIENTS)
+        for tick in ticks:
+            result = fleet.execute_fleet_tick(tick, shipping)
+            for name in (
+                "rows",
+                "offsets",
+                "io",
+                "consulted",
+                "payload_bytes",
+                "new_base_counts",
+            ):
+                array = getattr(result, name)
+                assert array.dtype == np.int64, name
+                digest.update(f"{name}{array.shape}".encode())
+                digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("executor", ["serial", "shm"])
+@pytest.mark.parametrize("shard_count", sorted(GOLDEN_DIGESTS))
+def test_fleet_tick_matches_golden(shard_city, shard_count, executor) -> None:
+    assert (
+        fleet_digest(shard_city, shard_count, executor)
+        == GOLDEN_DIGESTS[shard_count]
+    )
 
 
 def test_base_meshes_ship_once_across_ticks(shard_city) -> None:

@@ -109,6 +109,29 @@ class TestUidLookup:
                 np.array([pack_uid(999_999, 0, 0)], dtype=np.int64)
             )
 
+    def test_uid_order_and_rank_on_shuffled_rows(self, store):
+        """Rank is the inverse of the stable uid argsort, not the row id."""
+        perm = np.random.default_rng(8).permutation(len(store))
+        shuffled = CoefficientStore(store.data[perm])
+        order, rank = shuffled.uid_order, shuffled.uid_rank
+        identity = np.arange(len(store))
+        assert not np.array_equal(rank, identity)
+        assert np.all(np.diff(shuffled.packed_uids[order]) > 0)
+        assert np.array_equal(rank[order], identity)
+        assert np.array_equal(order[rank], identity)
+        # Sorting rows by rank is sorting them by uid.
+        rows = np.random.default_rng(9).choice(len(store), 25, replace=False)
+        assert np.array_equal(
+            rows[np.argsort(rank[rows])],
+            rows[np.argsort(shuffled.packed_uids[rows])],
+        )
+        for cached in (order, rank):
+            assert cached.dtype == np.int64 and not cached.flags.writeable
+        assert shuffled.uid_rank is rank and shuffled.uid_order is order
+        assert np.array_equal(
+            shuffled.rows_for_packed(shuffled.packed_uids[rows]), rows
+        )
+
     def test_uid_set(self, store, reference_records):
         rows = np.array([1, 4, 7], dtype=np.int64)
         assert store.uid_set(rows) == {reference_records[r].uid for r in rows}
