@@ -318,7 +318,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--executor", default="serial",
-        choices=("auto", "serial", "process", "shm"),
+        choices=("auto", "serial", "shm"),
         help="shard executor of the flat drive",
     )
     args = parser.parse_args()

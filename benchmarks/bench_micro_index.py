@@ -12,7 +12,7 @@ from repro.index.hilbert import hilbert_bulk_load
 from repro.index.packed import PackedIndex, corners_query_batch
 from repro.index.rstar import RStarTree
 from repro.index.rtree import RTree
-from repro.shard import ShardCornerTask, ShardedDatabase
+from repro.shard import ShardedDatabase
 from repro.workloads.cityscape import CityConfig, build_city
 
 
@@ -154,23 +154,17 @@ def fleet_scatter():
     (tick,) = make_flat_ticks(FLEET_SPACE, 2000, 1, seed=7, query_frac=0.12)
     qlow = np.concatenate([tick.low, tick.w_min[:, None]], axis=1)
     qhigh = np.concatenate([tick.high, tick.w_max[:, None]], axis=1)
-    hits = sharded.plan_corners(qlow, qhigh)
-    assignments = [np.flatnonzero(hits[:, s]) for s in range(4)]
-    tasks = [
-        ShardCornerTask(shard=s, qlow=qlow[idx], qhigh=qhigh[idx])
-        for s, idx in enumerate(assignments)
-    ]
-    yield sharded, tick.count, assignments, tasks
+    yield sharded, qlow, qhigh
     sharded.close()
 
 
 def test_batch_walk_one_shard(benchmark, fleet_scatter):
     """``query_slots_many`` under one shard's share of a fleet tick."""
-    sharded, _, _, tasks = fleet_scatter
-    task = tasks[0]
-    packed = sharded.slices[0].db.packed_access_method().packed
+    sharded, qlow, qhigh = fleet_scatter
+    share = np.flatnonzero(sharded.plan_corners(qlow, qhigh)[:, 0])
+    packed = sharded.slices[0].packed_method().packed
     rows, counts, io = benchmark(
-        corners_query_batch, packed, task.qlow, task.qhigh
+        corners_query_batch, packed, qlow[share], qhigh[share]
     )
     benchmark.extra_info.update(
         queries=len(counts), rows=int(rows.size), node_reads=int(io[:, 0].sum())
@@ -181,8 +175,9 @@ def test_batch_walk_one_shard(benchmark, fleet_scatter):
 
 def test_gather_sort_whole_tick(benchmark, fleet_scatter):
     """``assemble_flat``: the one-key sort over a whole tick's rows."""
-    sharded, count, assignments, tasks = fleet_scatter
-    batches = sharded.executor.run(tasks)
+    sharded, qlow, qhigh = fleet_scatter
+    count = len(qlow)
+    assignments, batches = sharded.scatter(qlow, qhigh)
     flat = benchmark(sharded.assemble_flat, assignments, batches, count)
     benchmark.extra_info.update(rows=int(flat.rows.size), queries=count)
     assert flat.rows.size > 150_000

@@ -1,21 +1,20 @@
-"""Sharded scatter-gather benchmark: process-parallel retrieval.
+"""Sharded scatter-gather benchmark: batched, pruned retrieval.
 
 Builds the default-scale cityscape, replays a fleet of moving-window
 retrieve requests against three server stacks, and reports:
 
 * ``scatter_gather`` -- the headline: the sharded coordinator
-  (``execute_many`` batching every sub-query per shard, scattered over
-  a forked worker pool) against the old single-process unsharded
-  per-request loop, plus the serial-sharded decomposition in between.
-  All three produce bit-identical responses (rows, uid merge order,
-  base shipping, filter counts); the speedups come from (a) batching
-  all sub-queries bound for a shard into one shared frontier walk, (b)
-  shard pruning skipping non-intersecting slices, and (c) process
-  parallelism across shards -- (c) contributes whatever the machine's
-  core count allows, (a)+(b) alone already beat the baseline on one
-  core.
-* ``shard_scaling`` -- wall time per (shard count x client count)
-  combination for both executors: the scaling curve.
+  (``execute_many`` batching every sub-query per shard), in process and
+  over the shared-memory worker pool, against the single-process
+  unsharded per-request loop.  All three produce bit-identical
+  responses (rows, uid merge order, base shipping, filter counts); the
+  speedups come from (a) batching all sub-queries bound for a shard
+  into one shared frontier walk, (b) shard pruning skipping
+  non-intersecting slices, and -- pool only -- (c) process parallelism
+  across shards, which contributes whatever the machine's core count
+  allows; (a)+(b) alone already beat the baseline on one core.
+* ``shard_scaling`` -- in-process wall time per (shard count x client
+  count) combination: the scaling curve.
 * ``scatter_gather.shm_gather`` -- the zero-copy data plane's receipts:
   how many bytes of result rows came back through shared-memory rings
   as descriptors instead of pickled payloads (per gather).
@@ -53,7 +52,6 @@ from repro.geometry.box import Box
 from repro.net.messages import RegionRequest, RetrieveRequest
 from repro.server.server import Server
 from repro.shard import (
-    ProcessShardExecutor,
     SerialShardExecutor,
     SharedMemoryShardExecutor,
     ShardCoordinator,
@@ -254,13 +252,6 @@ def run(smoke: bool) -> dict:
     serial_s, serial_digest = time_sharded(
         city, requests, headline_shards, SerialShardExecutor()
     )
-    process_ok = ProcessShardExecutor.available()
-    if process_ok:
-        process_s, process_digest = time_sharded(
-            city, requests, headline_shards, ProcessShardExecutor()
-        )
-    else:  # pragma: no cover - fork is available on every CI platform
-        process_s, process_digest = serial_s, serial_digest
     shm_ok = SharedMemoryShardExecutor.available()
     if shm_ok:
         shm_s, shm_digest, shm_gather = time_sharded_shm(
@@ -268,17 +259,15 @@ def run(smoke: bool) -> dict:
         )
     else:  # pragma: no cover - spawn is available everywhere
         shm_s, shm_digest, shm_gather = serial_s, serial_digest, {}
-    identical = reference == serial_digest == process_digest == shm_digest
+    identical = reference == serial_digest == shm_digest
     scatter_gather = {
         "shards": headline_shards,
         "requests": len(requests),
         "subqueries": 2 * len(requests),
         "baseline_single_process_s": round(baseline_s, 4),
         "sharded_serial_s": round(serial_s, 4),
-        "sharded_process_s": round(process_s, 4),
         "sharded_shm_s": round(shm_s, 4),
         "batched_serial_speedup": round(baseline_s / serial_s, 2),
-        "speedup": round(baseline_s / process_s, 2),
         "shm_speedup": round(baseline_s / shm_s, 2),
         "identical_responses": identical,
         "shm_gather": shm_gather,
@@ -291,17 +280,13 @@ def run(smoke: bool) -> dict:
             serial_point_s, _ = time_sharded(
                 city, tick_requests, shards, SerialShardExecutor()
             )
-            point = {
-                "shards": shards,
-                "clients": count,
-                "serial_s": round(serial_point_s, 4),
-            }
-            if process_ok:
-                process_point_s, _ = time_sharded(
-                    city, tick_requests, shards, ProcessShardExecutor()
-                )
-                point["process_s"] = round(process_point_s, 4)
-            curve.append(point)
+            curve.append(
+                {
+                    "shards": shards,
+                    "clients": count,
+                    "serial_s": round(serial_point_s, 4),
+                }
+            )
 
     # Whole-fleet flat-drive ticks: the batched columnar path vs the
     # per-request loop over the same queries, plus the headline sweep
@@ -383,10 +368,10 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    if not args.smoke and headline["speedup"] < 1.0:
+    if not args.smoke and headline["batched_serial_speedup"] < 1.0:
         print(
-            f"FAIL: process scatter-gather speedup {headline['speedup']}x "
-            "is below 1x",
+            "FAIL: batched scatter-gather speedup "
+            f"{headline['batched_serial_speedup']}x is below 1x",
             file=sys.stderr,
         )
         return 1

@@ -54,21 +54,13 @@ the cost differs (``patches`` / ``rebuilds`` count the choices).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import IndexError_
-from repro.geometry.box import Box
-from repro.index.access import AccessResult
-from repro.index.columnar import RowResult
 from repro.index.packed import (
-    PackedCandidates,
     PackedIndex,
     PackedLevel,
-    corners_query_batch,
-    query_corner_box,
-    subquery_corners,
+    _PackedQuerySurface,
 )
 from repro.index.rtree import DEFAULT_NODE_CAPACITY
 from repro.index.stats import IOStats
@@ -564,97 +556,12 @@ class DynamicPackedIndex:
         return len(self._store)
 
 
-class _PackedQuerySurface:
-    """The :class:`~repro.index.packed.PackedAccessMethod` query
-    surface, expressed against ``self.store`` / ``self.packed`` /
-    ``self.spatial_dims`` / ``self.stats``.
-
-    Shared by the live :class:`DynamicAccessMethod` (whose arrays step
-    forward per epoch) and the pinned :class:`EpochView` (whose arrays
-    are one retained epoch's compilation).
-    """
-
-    store: CoefficientStore
-    packed: PackedIndex
-    spatial_dims: int
-    stats: IOStats
-
-    def query_box(self, region: Box, w_min: float, w_max: float) -> Box:
-        """The full index-space box of ``Q(region, w_min, w_max)``."""
-        return query_corner_box(region, w_min, w_max, self.spatial_dims)
-
-    def query_rows(
-        self,
-        region: Box,
-        w_min: float,
-        w_max: float,
-        *,
-        half_open: bool = False,
-    ) -> RowResult:
-        """One frontier walk: store rows answering the query."""
-        box = self.query_box(region, w_min, w_max)
-        self.stats.push()
-        rows = self.packed.query_rows(box)
-        io = self.stats.pop_delta()
-        if half_open and rows.size:
-            rows = rows[self.store.values[rows] < w_max]
-        return RowResult(rows=rows, io=io)
-
-    def query_batch(
-        self, subqueries: Sequence[tuple[Box, float, float]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compact batch answer ``(rows, counts, io)`` (scatter currency)."""
-        if not subqueries:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.zeros((0, 3), dtype=np.int64)
-        qlow, qhigh = subquery_corners(subqueries, self.spatial_dims)
-        return corners_query_batch(self.packed, qlow, qhigh)
-
-    def query_rows_many(
-        self, subqueries: Sequence[tuple[Box, float, float]]
-    ) -> list[RowResult]:
-        """Batch of sub-queries, answers identical to a serial loop."""
-        rows, counts, io = self.query_batch(subqueries)
-        bounds = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
-        )
-        out: list[RowResult] = []
-        for q in range(len(subqueries)):
-            stats = IOStats(
-                node_reads=int(io[q, 0]),
-                leaf_reads=int(io[q, 1]),
-                entries_scanned=int(io[q, 2]),
-                queries=1,
-            )
-            out.append(
-                RowResult(rows=rows[bounds[q] : bounds[q + 1]], io=stats)
-            )
-        return out
-
-    def query(self, region: Box, w_min: float, w_max: float) -> AccessResult:
-        """Tree-compatible query surface (materialises record views)."""
-        result = self.query_rows(region, w_min, w_max)
-        records = list(self.store.records(result.rows))
-        return AccessResult(
-            records=records,
-            io=result.io,
-            retrieved_with_duplicates=len(records),
-        )
-
-    def candidates(self, box: Box) -> PackedCandidates:
-        """Raw-box traversal keeping survivors (the planner's refresh)."""
-        self.stats.push()
-        cand = self.packed.candidates(box)
-        self.stats.pop_delta()
-        return cand
-
-
 class DynamicAccessMethod(_PackedQuerySurface):
     """Drop-in access method over a :class:`DynamicPackedIndex`.
 
     Call-compatible with
-    :class:`~repro.index.packed.PackedAccessMethod` -- ``query_rows``,
-    ``query_batch``, ``query_rows_many``, ``candidates`` and the
+    :class:`~repro.index.packed.PackedAccessMethod` -- the same query
+    surface class, hence ``query_rows``, ``candidates`` and the
     ``stats`` counter behave identically -- plus :meth:`apply` to step
     the underlying index to the next epoch view and :meth:`pin` to
     retain the *current* epoch's compiled arrays as a frozen
@@ -713,19 +620,12 @@ class DynamicAccessMethod(_PackedQuerySurface):
         return self._index.store
 
     @property
-    def spatial_dims(self) -> int:
-        return self._spatial_dims
-
-    @property
     def index(self) -> DynamicPackedIndex:
         return self._index
 
     @property
     def packed(self) -> PackedIndex:
         return self._index.packed
-
-    def __len__(self) -> int:
-        return len(self._index)
 
 
 class EpochView(_PackedQuerySurface):
@@ -743,18 +643,3 @@ class EpochView(_PackedQuerySurface):
         self._packed = packed
         self._spatial_dims = spatial_dims
         self.stats = stats
-
-    @property
-    def store(self) -> CoefficientStore:
-        return self._store
-
-    @property
-    def packed(self) -> PackedIndex:
-        return self._packed
-
-    @property
-    def spatial_dims(self) -> int:
-        return self._spatial_dims
-
-    def __len__(self) -> int:
-        return len(self._store)

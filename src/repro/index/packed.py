@@ -89,23 +89,33 @@ def subquery_corners(
     """Lower ``(region, w_min, w_max)`` sub-queries to corner stacks.
 
     Returns the ``(Q, spatial_dims + 1)`` query-box corner matrices
-    :meth:`PackedIndex.query_slots_many` consumes -- the same boxes
-    :meth:`PackedAccessMethod.query_box` builds per sub-query, with the
-    same band validation.  This is the shared lowering step the serial
-    executor, the shared-memory workers, and the whole-fleet planner
-    all run, so every path queries bit-identical corners.
+    :meth:`PackedIndex.query_slots_many` consumes: row ``i`` holds the
+    corners of :func:`query_corner_box` for sub-query ``i``, with the
+    same band validation.  The one lowering step of the scatter path --
+    the shard layer runs it once, in the parent, and plans, scatters
+    and traverses over its output -- filled in place because it sits on
+    the per-request planning path.
     """
-    boxes = [
-        query_corner_box(region, w_min, w_max, spatial_dims)
-        for region, w_min, w_max in subqueries
-    ]
-    if not boxes:
-        empty = np.empty((0, spatial_dims + 1), dtype=np.float64)
-        return empty, empty.copy()
-    return (
-        np.vstack([box.low for box in boxes]),
-        np.vstack([box.high for box in boxes]),
-    )
+    qlow = np.empty((len(subqueries), spatial_dims + 1))
+    qhigh = np.empty((len(subqueries), spatial_dims + 1))
+    for i, (region, w_min, w_max) in enumerate(subqueries):
+        # Checked and projected inline, not through query_corner_box:
+        # a call per sub-query is measurable on the planning path.
+        if not 0.0 <= w_min <= w_max <= 1.0:
+            raise IndexError_(
+                f"invalid value band [{w_min}, {w_max}]; "
+                f"need 0 <= min <= max <= 1"
+            )
+        spatial = (
+            region
+            if region.ndim == spatial_dims
+            else _spatial_query_box(region, spatial_dims)
+        )
+        qlow[i, :spatial_dims] = spatial.low
+        qhigh[i, :spatial_dims] = spatial.high
+        qlow[i, spatial_dims] = w_min
+        qhigh[i, spatial_dims] = w_max
+    return qlow, qhigh
 
 
 def corners_query_batch(
@@ -113,11 +123,13 @@ def corners_query_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compact batch answer over pre-lowered corners: ``(rows, counts, io)``.
 
-    The single source of truth behind
-    :meth:`PackedAccessMethod.query_batch` and the shared-memory shard
-    workers: one shared frontier walk, rows grouped by ascending
-    sub-query index, ``(Q, 3)`` per-sub-query I/O.  Running the same
-    function on the same arrays is what makes the executors
+    The scatter-gather currency, answered by one shared frontier walk:
+    ``rows`` concatenates every sub-query's payload rows grouped by
+    ascending sub-query index (sub-query ``q`` owns the slice of length
+    ``counts[q]``) and ``io`` is the ``(Q, 3)`` per-sub-query
+    ``(node_reads, leaf_reads, entries_scanned)`` matrix -- three flat
+    arrays, no per-query Python objects.  Both shard executors run this
+    same function on the same arrays, which is what makes them
     bit-identical by construction.
     """
     slots, slot_qid, io = packed.query_slots_many(qlow, qhigh)
@@ -482,7 +494,79 @@ class PackedIndex:
         )
 
 
-class PackedAccessMethod:
+class _PackedQuerySurface:
+    """The packed ``Q(R, w_min, w_max)`` query surface.
+
+    Expressed against :attr:`store` / :attr:`packed` /
+    :attr:`spatial_dims` / ``self.stats``.  Three access methods derive
+    from it: the static :class:`PackedAccessMethod`, the pinned
+    :class:`~repro.index.dynamic.EpochView` (one retained epoch's
+    compilation) -- both plain holders of the three fields -- and the
+    live :class:`~repro.index.dynamic.DynamicAccessMethod`, which
+    overrides :attr:`store` and :attr:`packed` to follow its index as
+    the arrays step forward per epoch.
+    """
+
+    _store: CoefficientStore
+    _packed: PackedIndex
+    _spatial_dims: int
+    stats: IOStats
+
+    @property
+    def store(self) -> CoefficientStore:
+        return self._store
+
+    @property
+    def packed(self) -> PackedIndex:
+        return self._packed
+
+    @property
+    def spatial_dims(self) -> int:
+        return self._spatial_dims
+
+    def __len__(self) -> int:
+        return len(self.store)
+
+    def query_box(self, region: Box, w_min: float, w_max: float) -> Box:
+        """The full index-space box of ``Q(region, w_min, w_max)``."""
+        return query_corner_box(region, w_min, w_max, self.spatial_dims)
+
+    def query_rows(
+        self,
+        region: Box,
+        w_min: float,
+        w_max: float,
+        *,
+        half_open: bool = False,
+    ) -> RowResult:
+        """One frontier walk: store rows answering the query."""
+        box = self.query_box(region, w_min, w_max)
+        self.stats.push()
+        rows = self.packed.query_rows(box)
+        io = self.stats.pop_delta()
+        if half_open and rows.size:
+            rows = rows[self.store.values[rows] < w_max]
+        return RowResult(rows=rows, io=io)
+
+    def query(self, region: Box, w_min: float, w_max: float) -> AccessResult:
+        """Tree-compatible query surface (materialises record views)."""
+        result = self.query_rows(region, w_min, w_max)
+        records = list(self.store.records(result.rows))
+        return AccessResult(
+            records=records,
+            io=result.io,
+            retrieved_with_duplicates=len(records),
+        )
+
+    def candidates(self, box: Box) -> PackedCandidates:
+        """Raw-box traversal keeping survivors (the planner's refresh)."""
+        self.stats.push()
+        cand = self.packed.candidates(box)
+        self.stats.pop_delta()
+        return cand
+
+
+class PackedAccessMethod(_PackedQuerySurface):
     """Support-MBB x value index compiled to packed arrays (Section VI-B).
 
     Builds the same STR-packed R*-tree as
@@ -531,111 +615,10 @@ class PackedAccessMethod:
             self._tree, leaf_row=_row_payload, stats=self.stats
         )
 
-    # -- accessors -----------------------------------------------------------
-
-    @property
-    def store(self) -> CoefficientStore:
-        return self._store
-
-    @property
-    def spatial_dims(self) -> int:
-        return self._spatial_dims
-
     @property
     def tree(self) -> RTree:
         """The source object tree (kept for dynamic workloads and tests)."""
         return self._tree
-
-    @property
-    def packed(self) -> PackedIndex:
-        return self._packed
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    # -- queries -------------------------------------------------------------
-
-    def query_box(self, region: Box, w_min: float, w_max: float) -> Box:
-        """The full index-space box of ``Q(region, w_min, w_max)``."""
-        return query_corner_box(region, w_min, w_max, self._spatial_dims)
-
-    def query_rows(
-        self,
-        region: Box,
-        w_min: float,
-        w_max: float,
-        *,
-        half_open: bool = False,
-    ) -> RowResult:
-        """One frontier walk: store rows answering the query."""
-        box = self.query_box(region, w_min, w_max)
-        self.stats.push()
-        rows = self._packed.query_rows(box)
-        io = self.stats.pop_delta()
-        if half_open and rows.size:
-            rows = rows[self._store.values[rows] < w_max]
-        return RowResult(rows=rows, io=io)
-
-    def query_batch(
-        self, subqueries: Sequence[tuple[Box, float, float]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compact batch answer: ``(rows, counts, io)``.
-
-        ``rows`` concatenates every sub-query's store rows grouped by
-        ascending sub-query index (sub-query ``q`` owns the slice of
-        length ``counts[q]``); ``io`` is the ``(Q, 3)`` per-sub-query
-        ``(node_reads, leaf_reads, entries_scanned)`` matrix.  This is
-        the scatter-gather currency: three flat arrays, no per-query
-        Python objects, cheap to ship across a process boundary.
-        """
-        if not subqueries:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.zeros((0, 3), dtype=np.int64)
-        qlow, qhigh = subquery_corners(subqueries, self._spatial_dims)
-        return corners_query_batch(self._packed, qlow, qhigh)
-
-    def query_rows_many(
-        self, subqueries: Sequence[tuple[Box, float, float]]
-    ) -> list[RowResult]:
-        """Answer a batch of ``(region, w_min, w_max)`` sub-queries.
-
-        One shared frontier walk (:meth:`PackedIndex.query_slots_many`)
-        answers the whole batch; per sub-query the returned rows and
-        :class:`~repro.index.stats.IOStats` are identical to a serial
-        loop of :meth:`query_rows` calls -- only the numpy call
-        overhead is amortised across the batch.
-        """
-        rows, counts, io = self.query_batch(subqueries)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        out: list[RowResult] = []
-        for q in range(len(subqueries)):
-            stats = IOStats(
-                node_reads=int(io[q, 0]),
-                leaf_reads=int(io[q, 1]),
-                entries_scanned=int(io[q, 2]),
-                queries=1,
-            )
-            out.append(
-                RowResult(rows=rows[bounds[q] : bounds[q + 1]], io=stats)
-            )
-        return out
-
-    def query(self, region: Box, w_min: float, w_max: float) -> AccessResult:
-        """Tree-compatible query surface (materialises record views)."""
-        result = self.query_rows(region, w_min, w_max)
-        records = list(self._store.records(result.rows))
-        return AccessResult(
-            records=records,
-            io=result.io,
-            retrieved_with_duplicates=len(records),
-        )
-
-    def candidates(self, box: Box) -> PackedCandidates:
-        """Raw-box traversal keeping survivors (the planner's refresh)."""
-        self.stats.push()
-        cand = self._packed.candidates(box)
-        self.stats.pop_delta()
-        return cand
 
 
 def _row_payload(payload: Any) -> int:

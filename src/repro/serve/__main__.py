@@ -58,9 +58,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor", default="auto",
-        choices=("auto", "serial", "process", "shm"),
+        choices=("auto", "serial", "shm"),
         help="shard executor: 'shm' scatters over a spawn-safe worker "
-        "pool sharing the store and indexes through named shared "
+        "pool sharing the shard indexes through named shared "
         "memory (zero-copy gathers); 'auto' measures pool overhead "
         "and falls back to in-process execution when scattering "
         "cannot pay (responses are wire-identical either way)",

@@ -1,10 +1,10 @@
-"""Spatial sharding with process-parallel scatter-gather retrieval.
+"""Spatial sharding with scatter-gather retrieval.
 
 Splits the cityscape into spatial shards -- each with its own
 coefficient-store slice and packed index -- and answers retrieve
 requests coordinator-style: plan the ``(box, w-band)`` query against
 the shard map, scatter batched sub-queries to the intersecting
-shards (in process or across a forked worker pool), and gather with
+shards (in process or on a shared-memory worker pool), and gather with
 the server's canonical uid merge so responses stay bit-identical to
 the single-index path.  See DESIGN.md section 13.
 """
@@ -20,13 +20,11 @@ from repro.shard.database import ExecutorSpec, FlatGather, ShardedDatabase
 from repro.shard.mapping import TILINGS, ShardMap
 from repro.shard.scene import ShardedSceneDatabase
 from repro.shard.parallel import (
-    ProcessShardExecutor,
     SerialShardExecutor,
     ShardBatchResult,
     ShardCornerTask,
     ShardExecutor,
     ShardSlice,
-    ShardTask,
 )
 from repro.shard.shm import GatherStats, SharedArena, SharedMemoryShardExecutor
 
@@ -38,11 +36,9 @@ __all__ = [
     "ShardCoordinator",
     "ShardExecutor",
     "ShardSlice",
-    "ShardTask",
     "ShardCornerTask",
     "ShardBatchResult",
     "SerialShardExecutor",
-    "ProcessShardExecutor",
     "SharedMemoryShardExecutor",
     "SharedArena",
     "GatherStats",

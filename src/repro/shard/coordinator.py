@@ -10,13 +10,14 @@ deliver each sub-query in the canonical ascending packed-uid order).
 What the coordinator adds over a plain ``Server(sharded_db)``:
 
 * :meth:`execute_many` plans *every* sub-query of *every* request,
-  groups them by shard, and scatters **one batched task per shard**.
-  Each shard then answers its whole batch in a single shared frontier
-  walk (:meth:`~repro.index.packed.PackedAccessMethod.query_rows_many`)
-  -- and with a :class:`~repro.shard.parallel.ProcessShardExecutor`
-  those per-shard batches run in separate processes.  Batching is what
-  makes scattering pay: the per-level numpy overhead is amortised over
-  the batch instead of paid per sub-query.
+  groups them by shard, and scatters **one batched task per shard**
+  (:meth:`~repro.shard.database.ShardedDatabase.scatter`).  Each shard
+  then answers its whole batch in a single shared frontier walk
+  (:func:`~repro.index.packed.corners_query_batch`) -- and with a
+  :class:`~repro.shard.shm.SharedMemoryShardExecutor` those per-shard
+  batches run in separate processes.  Batching is what makes
+  scattering pay: the per-level numpy overhead is amortised over the
+  batch instead of paid per sub-query.
 * Frame-delta planning becomes shard-aware: one
   :class:`~repro.server.planner.FrontierPlanner` per shard, keyed off
   the shard's own packed index, with per-client memos per shard.
@@ -42,7 +43,6 @@ from repro.net.messages import (
 from repro.server.planner import FrontierPlanner
 from repro.server.server import DEFAULT_MAX_CLIENTS, Server
 from repro.shard.database import ShardedDatabase
-from repro.shard.parallel import AnyShardTask, ShardCornerTask, ShardTask
 from repro.store.columns import CoefficientStore
 from repro.store.scene import FootprintDelta
 
@@ -174,10 +174,10 @@ class ShardCoordinator(Server):
     def _shard_planner(self, shard: int) -> FrontierPlanner:
         planner = self._shard_planners.get(shard)
         if planner is None:
-            method = self.sharded.slices[shard].db.packed_access_method()
-            if method is None:
-                raise ShardError(f"shard {shard} has no packed index")
-            planner = FrontierPlanner(method, max_clients=self.max_clients)
+            planner = FrontierPlanner(
+                self.sharded.slices[shard].packed_method(),
+                max_clients=self.max_clients,
+            )
             self._shard_planners[shard] = planner
         return planner
 
@@ -270,8 +270,8 @@ class ShardCoordinator(Server):
             # epochs answer from retained views, neither batchable.
             return super().execute_many(requests)
         db = self.sharded
-        # Flatten every (request, region) sub-query, then plan the
-        # whole batch in one broadcast intersection test.
+        # Flatten every (request, region) sub-query, then plan and
+        # scatter the whole batch at once.
         flat: list[tuple[Box, float, float]] = []
         bounds: list[int] = [0]
         for request in requests:
@@ -280,23 +280,10 @@ class ShardCoordinator(Server):
                     (region_req.region, region_req.w_min, region_req.w_max)
                 )
             bounds.append(len(flat))
-        per_shard: dict[int, list[int]] = {}
-        for sub_idx, shards in enumerate(db.plan_many(flat)):
-            for shard in shards:
-                per_shard.setdefault(int(shard), []).append(sub_idx)
-        assignments = [
-            sub_indices for _, sub_indices in sorted(per_shard.items())
-        ]
-        tasks = [
-            ShardTask(
-                shard=shard,
-                subqueries=tuple(flat[sub_idx] for sub_idx in sub_indices),
-            )
-            for shard, sub_indices in sorted(per_shard.items())
-        ]
-        batches = db.executor.run(tasks)
-        # Gather per sub-query (ascending shard order via the sorted
-        # task order), then run the response stage in request order so
+        qlow, qhigh = db.lower(flat)
+        assignments, batches = db.scatter(qlow, qhigh)
+        # Gather per sub-query (tasks come back in ascending shard
+        # order), then run the response stage in request order so
         # state mutation matches the serial loop exactly.
         fetched = db.assemble(assignments, batches, len(flat))
         return [
@@ -332,11 +319,10 @@ class ShardCoordinator(Server):
     ) -> FleetTickResult:
         """Answer an entire flat-drive tick as one scatter-gather.
 
-        The fleet-scale sibling of :meth:`execute_many`: one
-        :meth:`~repro.shard.database.ShardedDatabase.plan_corners`
-        broadcast plans every client's query at once, one
-        :class:`~repro.shard.parallel.ShardCornerTask` per shard
-        scatters the whole tick, and the response stage (payload
+        The fleet-scale sibling of :meth:`execute_many`: the tick's
+        window columns are already corner stacks, so one
+        :meth:`~repro.shard.database.ShardedDatabase.scatter` plans and
+        runs every client's query at once, and the response stage (payload
         pricing, first-shipment base-mesh accounting) runs as numpy
         reductions over the flat gather.  Per client, the rows, their
         order, the I/O counters and the payload bytes are identical to
@@ -377,23 +363,10 @@ class ShardCoordinator(Server):
                 f"tick windows are {tick.low.shape[1]}-D, database expects "
                 f"{sd}-D"
             )
-        # Plan: one broadcast over pre-lowered (x, y[, z], w) corners.
+        # The tick's columns are pre-lowered (x, y[, z], w) corners.
         qlow = np.concatenate([tick.low, tick.w_min[:, None]], axis=1)
         qhigh = np.concatenate([tick.high, tick.w_max[:, None]], axis=1)
-        hits = db.plan_corners(qlow, qhigh)
-        # Scatter: one corner task per consulted shard, ascending.
-        tasks: list[AnyShardTask] = []
-        assignments: list[np.ndarray] = []
-        for shard in range(db.shard_count):
-            indices = np.flatnonzero(hits[:, shard])
-            if indices.size:
-                tasks.append(
-                    ShardCornerTask(
-                        shard=shard, qlow=qlow[indices], qhigh=qhigh[indices]
-                    )
-                )
-                assignments.append(indices)
-        batches = db.executor.run(tasks)
+        assignments, batches = db.scatter(qlow, qhigh)
         gather = db.assemble_flat(assignments, batches, count)
         # Response stage, columnar.  Single closed-band region per
         # client with no excludes: nothing to filter, and rows are

@@ -21,8 +21,8 @@ Query answering becomes plan / scatter / gather:
   the unsharded index would -- exact I/O parity at ``S == 1``.
 * **scatter** -- run the sub-query on every planned shard's packed
   index through a :class:`~repro.shard.parallel.ShardExecutor`
-  (serial in-process, or a forked worker pool), mapping slice rows to
-  global rows.
+  (in process, or on a shared-memory worker pool), mapping slice rows
+  to global rows.
 * **gather** -- concatenate in ascending shard order, sum the
   per-shard :class:`~repro.index.stats.IOStats`, and sort the rows
   into ascending packed-uid order -- the server's canonical delivery
@@ -44,21 +44,21 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from repro.errors import ShardError
+from repro.errors import IndexError_, ShardError
 from repro.geometry.box import Box
-from repro.index.access import AccessResult, _spatial_query_box
+from repro.index.access import AccessResult
 from repro.index.columnar import RowResult
+from repro.index.packed import subquery_corners
 from repro.index.stats import IOStats
 from repro.server.database import AnyAccessMethod, ObjectDatabase, StoredObject
 from repro.shard.mapping import ShardMap
 from repro.shard.parallel import (
-    DEFAULT_OVERHEAD_BUDGET_S,
-    ProcessShardExecutor,
+    OVERHEAD_BUDGET_S,
     SerialShardExecutor,
     ShardBatchResult,
+    ShardCornerTask,
     ShardExecutor,
     ShardSlice,
-    ShardTask,
     measure_batch_overhead,
 )
 from repro.shard.shm import SharedMemoryShardExecutor
@@ -67,10 +67,10 @@ from repro.wavelets.analysis import WaveletDecomposition
 __all__ = ["ShardedDatabase", "ExecutorSpec", "FlatGather"]
 
 #: An executor instance, or one of the named policies ``"serial"``,
-#: ``"process"``, ``"shm"``, ``"auto"`` (``None`` means serial).
+#: ``"shm"``, ``"auto"`` (``None`` means serial).
 ExecutorSpec = Union[ShardExecutor, str, None]
 
-_EXECUTOR_NAMES = ("auto", "serial", "process", "shm")
+_EXECUTOR_NAMES = ("auto", "serial", "shm")
 
 
 def _usable_cpus() -> int:
@@ -118,7 +118,6 @@ class ShardedDatabase(ObjectDatabase):
         shard_map: ShardMap,
         *,
         executor: ExecutorSpec = None,
-        overhead_budget_s: float = DEFAULT_OVERHEAD_BUDGET_S,
     ) -> None:
         super().__init__(
             encoding=source.encoding,
@@ -163,36 +162,37 @@ class ShardedDatabase(ObjectDatabase):
             row_map.setflags(write=False)
             slices.append(ShardSlice(shard=shard, db=slice_db, row_map=row_map))
         self._slices = tuple(slices)
-        # Per-shard index-space bounds (support MBB x value union) for
-        # the planning step, straight off the global store columns.
+        self._refresh_bounds()
+        self._executor: ShardExecutor = self._bind_executor(executor)
+
+    def _refresh_bounds(self) -> None:
+        """Per-shard index-space bounds (support MBB x value union).
+
+        What the planning step prunes against, straight off the global
+        store's live columns.
+        """
         sd = self._spatial_dims
+        store = self.store
         low_cols = np.concatenate(
-            [self._store.support_low[:, :sd], self._store.values[:, None]],
-            axis=1,
+            [store.support_low[:, :sd], store.values[:, None]], axis=1
         )
         high_cols = np.concatenate(
-            [self._store.support_high[:, :sd], self._store.values[:, None]],
-            axis=1,
+            [store.support_high[:, :sd], store.values[:, None]], axis=1
         )
         self._bounds_low = np.vstack(
-            [low_cols[sl.row_map].min(axis=0) for sl in slices]
+            [low_cols[sl.row_map].min(axis=0) for sl in self._slices]
         )
         self._bounds_high = np.vstack(
-            [high_cols[sl.row_map].max(axis=0) for sl in slices]
-        )
-        self._executor: ShardExecutor = self._bind_executor(
-            executor, overhead_budget_s
+            [high_cols[sl.row_map].max(axis=0) for sl in self._slices]
         )
 
-    def _bind_executor(
-        self, spec: ExecutorSpec, overhead_budget_s: float
-    ) -> ShardExecutor:
+    def _bind_executor(self, spec: ExecutorSpec) -> ShardExecutor:
         """Resolve an executor spec and bind it to the slices.
 
         An explicit :class:`~repro.shard.parallel.ShardExecutor`
         instance always wins; the named policies are ``"serial"``
-        (also ``None``), ``"process"``, ``"shm"``, and ``"auto"`` --
-        the measured policy of :meth:`_auto_executor`.
+        (also ``None``), ``"shm"``, and ``"auto"`` -- the measured
+        policy of :meth:`_auto_executor`.
         """
         if isinstance(spec, str) and spec not in _EXECUTOR_NAMES:
             raise ShardError(
@@ -200,12 +200,10 @@ class ShardedDatabase(ObjectDatabase):
                 f"{', '.join(_EXECUTOR_NAMES)} or a ShardExecutor instance"
             )
         if spec == "auto":
-            return self._auto_executor(overhead_budget_s)
+            return self._auto_executor()
         executor: ShardExecutor
         if spec is None or spec == "serial":
             executor = SerialShardExecutor()
-        elif spec == "process":
-            executor = ProcessShardExecutor()
         elif spec == "shm":
             executor = SharedMemoryShardExecutor()
         else:
@@ -213,16 +211,17 @@ class ShardedDatabase(ObjectDatabase):
         executor.bind(self._slices)
         return executor
 
-    def _auto_executor(self, overhead_budget_s: float) -> ShardExecutor:
+    def _auto_executor(self) -> ShardExecutor:
         """Measured policy: pay for a pool only where it can pay back.
 
         One shard (nothing to scatter in parallel) or one usable core
         never constructs a pool at all -- the 1-shard workload must not
         pay a microsecond of pool overhead.  Otherwise the shm pool is
         kept only when its measured per-batch round-trip overhead
-        (:func:`~repro.shard.parallel.measure_batch_overhead`) fits the
-        budget; a pool that costs more per scatter than the budget is
-        torn down again in favour of the serial engine.
+        (:func:`~repro.shard.parallel.measure_batch_overhead`) fits
+        :data:`~repro.shard.parallel.OVERHEAD_BUDGET_S`; a pool that
+        costs more per scatter than that is torn down again in favour
+        of the serial engine.
         """
         serial = SerialShardExecutor()
         if self.shard_count == 1 or _usable_cpus() < 2:
@@ -234,7 +233,7 @@ class ShardedDatabase(ObjectDatabase):
             overhead = measure_batch_overhead(pool)
         except ShardError:  # pragma: no cover - pool died during probe
             overhead = float("inf")
-        if overhead > overhead_budget_s:
+        if overhead > OVERHEAD_BUDGET_S:
             pool.close()
             serial.bind(self._slices)
             return serial
@@ -271,7 +270,6 @@ class ShardedDatabase(ObjectDatabase):
         *,
         tiling: str = "str",
         executor: ExecutorSpec = None,
-        overhead_budget_s: float = DEFAULT_OVERHEAD_BUDGET_S,
     ) -> "ShardedDatabase":
         """Shard ``source`` by tiling its object footprints."""
         shard_map = ShardMap.build(
@@ -279,12 +277,7 @@ class ShardedDatabase(ObjectDatabase):
             shard_count,
             tiling=tiling,
         )
-        return cls(
-            source,
-            shard_map,
-            executor=executor,
-            overhead_budget_s=overhead_budget_s,
-        )
+        return cls(source, shard_map, executor=executor)
 
     # -- topology --------------------------------------------------------------
 
@@ -368,39 +361,20 @@ class ShardedDatabase(ObjectDatabase):
 
     # -- plan / scatter / gather ----------------------------------------------
 
-    def query_box(self, region: Box, w_min: float, w_max: float) -> Box:
-        """The index-space box of ``Q(region, w_min, w_max)``."""
-        if not 0.0 <= w_min <= w_max <= 1.0:
-            raise ShardError(
-                f"invalid value band [{w_min}, {w_max}]; "
-                f"need 0 <= min <= max <= 1"
-            )
-        spatial = _spatial_query_box(region, self._spatial_dims)
-        return spatial.augment([w_min], [w_max])
-
-    def _query_corners(
+    def lower(
         self, subqueries: Sequence[tuple[Box, float, float]]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked index-space corners of many sub-queries at once."""
-        sd = self._spatial_dims
-        qlow = np.empty((len(subqueries), sd + 1))
-        qhigh = np.empty((len(subqueries), sd + 1))
-        for i, (region, w_min, w_max) in enumerate(subqueries):
-            if not 0.0 <= w_min <= w_max <= 1.0:
-                raise ShardError(
-                    f"invalid value band [{w_min}, {w_max}]; "
-                    f"need 0 <= min <= max <= 1"
-                )
-            if region.ndim == sd:
-                qlow[i, :sd] = region.low
-                qhigh[i, :sd] = region.high
-            else:
-                spatial = _spatial_query_box(region, sd)
-                qlow[i, :sd] = spatial.low
-                qhigh[i, :sd] = spatial.high
-            qlow[i, sd] = w_min
-            qhigh[i, sd] = w_max
-        return qlow, qhigh
+        """Stacked index-space corners of ``(region, w_min, w_max)`` queries.
+
+        The ``(Q, spatial_dims + 1)`` stacks :meth:`plan_corners` and
+        :meth:`scatter` consume, lowered once per batch by
+        :func:`~repro.index.packed.subquery_corners`; its band and
+        dimension checks surface as :class:`ShardError` here.
+        """
+        try:
+            return subquery_corners(subqueries, self._spatial_dims)
+        except IndexError_ as exc:
+            raise ShardError(str(exc)) from exc
 
     def plan(self, region: Box, w_min: float, w_max: float) -> np.ndarray:
         """Shard ids whose bounds intersect the query, ascending.
@@ -426,7 +400,7 @@ class ShardedDatabase(ObjectDatabase):
         if self.shard_count == 1:
             # Pruning bypass, see :meth:`plan`.
             return [np.zeros(1, dtype=np.int64) for _ in subqueries]
-        qlow, qhigh = self._query_corners(subqueries)
+        qlow, qhigh = self.lower(subqueries)
         hits = self.plan_corners(qlow, qhigh)
         return [np.flatnonzero(row) for row in hits]
 
@@ -449,6 +423,31 @@ class ShardedDatabase(ObjectDatabase):
             & (self._bounds_high[None, :, :] >= qlow[:, None, :]),
             axis=2,
         )
+
+    def scatter(
+        self, qlow: np.ndarray, qhigh: np.ndarray
+    ) -> tuple[list[np.ndarray], list[ShardBatchResult]]:
+        """Plan a corner batch and run it: ``(assignments, batches)``.
+
+        The one scatter path: a :meth:`plan_corners` broadcast, then one
+        :class:`~repro.shard.parallel.ShardCornerTask` per consulted
+        shard, ascending, through the executor.  ``assignments[t]``
+        lists the query indices ``batches[t]`` answered, ascending --
+        the form :meth:`assemble` and :meth:`assemble_flat` gather.
+        """
+        hits = self.plan_corners(qlow, qhigh)
+        tasks: list[ShardCornerTask] = []
+        assignments: list[np.ndarray] = []
+        for shard in range(self.shard_count):
+            indices = np.flatnonzero(hits[:, shard])
+            if indices.size:
+                tasks.append(
+                    ShardCornerTask(
+                        shard=shard, qlow=qlow[indices], qhigh=qhigh[indices]
+                    )
+                )
+                assignments.append(indices)
+        return assignments, self._executor.run(tasks)
 
     def assemble(
         self,
@@ -590,13 +589,9 @@ class ShardedDatabase(ObjectDatabase):
         self, region: Box, w_min: float, w_max: float
     ) -> RowResult:
         """One window query, scattered to the intersecting shards."""
-        shards = self.plan(region, w_min, w_max)
-        tasks = [
-            ShardTask(shard=int(shard), subqueries=((region, w_min, w_max),))
-            for shard in shards
-        ]
-        batches = self._executor.run(tasks)
-        return self.assemble([[0]] * len(tasks), batches, 1)[0]
+        qlow, qhigh = self.lower([(region, w_min, w_max)])
+        assignments, batches = self.scatter(qlow, qhigh)
+        return self.assemble(assignments, batches, 1)[0]
 
     def query_region(
         self, region: Box, w_min: float, w_max: float

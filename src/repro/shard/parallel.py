@@ -1,58 +1,44 @@
-"""Shard execution engines: serial reference and forked worker pool.
+"""The shard executor contract, its task runner, and the in-process executor.
 
-A :class:`ShardTask` bundles every sub-query bound for one shard; an
-executor runs a batch of tasks and returns one compact
-:class:`ShardBatchResult` per task -- three flat arrays (concatenated
-rows already mapped into the *global* store's row space, per-sub-query
-counts, per-sub-query I/O) rather than per-sub-query Python objects,
-so a result is one small pickle on the process path.  Both engines
+A :class:`ShardCornerTask` bundles every sub-query bound for one shard,
+already lowered to index-space corner stacks; an executor runs a batch
+of tasks and returns one compact :class:`ShardBatchResult` per task --
+three flat arrays (concatenated rows already mapped into the *global*
+store's row space, per-sub-query counts, per-sub-query I/O) rather than
+per-sub-query Python objects.  :func:`run_task` is the one place a task
+becomes a result: :class:`SerialShardExecutor` calls it in process and
+the workers of :class:`~repro.shard.shm.SharedMemoryShardExecutor` call
+it on their shared-memory views of the same arrays, so the executors
 produce identical results (same rows, same per-sub-query I/O
-accounting) because a shard-local batch runs through the same
-:meth:`~repro.index.packed.PackedAccessMethod.query_batch` frontier
-walk either way -- the process pool only changes *where* it runs.
-
-:class:`ProcessShardExecutor` relies on ``fork``: the parent compiles
-every shard's packed index *before* forking, the children inherit the
-flat numpy columns copy-on-write through the module-global
-:data:`_POOL_SLICES`, and tasks cross the process boundary as small
-pickles (boxes in, row ids out) -- no store columns are ever
-serialised.  ``pool.map`` preserves task order, so scatter results
-gather deterministically regardless of worker scheduling.
+accounting) by construction -- the pool only changes *where* the
+:func:`~repro.index.packed.corners_query_batch` walk runs.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, Sequence, Union
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
 from repro.errors import ShardError
-from repro.geometry.box import Box
-from repro.index.packed import (
-    PackedAccessMethod,
-    corners_query_batch,
-    subquery_corners,
-)
+from repro.index.packed import PackedIndex, corners_query_batch
 
 if TYPE_CHECKING:
+    from repro.index.dynamic import DynamicAccessMethod
+    from repro.index.packed import PackedAccessMethod
     from repro.server.database import ObjectDatabase
 
 __all__ = [
     "ShardSlice",
-    "ShardTask",
     "ShardCornerTask",
-    "AnyShardTask",
-    "task_corners",
     "ShardBatchResult",
+    "run_task",
     "ShardExecutor",
     "SerialShardExecutor",
-    "ProcessShardExecutor",
     "measure_batch_overhead",
-    "DEFAULT_OVERHEAD_BUDGET_S",
+    "OVERHEAD_BUDGET_S",
 ]
 
 
@@ -73,28 +59,27 @@ class ShardSlice:
     def row_count(self) -> int:
         return int(self.row_map.size)
 
-
-@dataclass(frozen=True)
-class ShardTask:
-    """All sub-queries scattered to one shard, batched as one unit."""
-
-    shard: int
-    subqueries: tuple[tuple[Box, float, float], ...]
+    def packed_method(self) -> "PackedAccessMethod | DynamicAccessMethod":
+        """The slice's packed access method, compiled on first use."""
+        method = self.db.packed_access_method()
+        if method is None:
+            raise ShardError(
+                f"shard {self.shard} slice has no packed access method"
+            )
+        return method
 
 
 @dataclass(frozen=True)
 class ShardCornerTask:
-    """A shard's sub-queries pre-lowered to index-space corner stacks.
+    """All sub-queries scattered to one shard, as index-space corners.
 
-    The whole-fleet path plans thousands of sub-queries at once; boxing
-    each into a :class:`~repro.geometry.box.Box` tuple just to unbox it
-    in the worker would dominate the scatter.  ``qlow``/``qhigh`` are
-    the ``(Q, spatial_dims + 1)`` matrices
+    ``qlow``/``qhigh`` are the ``(Q, spatial_dims + 1)`` matrices
     :meth:`~repro.index.packed.PackedIndex.query_slots_many` consumes
-    directly (spatial corners augmented with the value band), produced
-    by :func:`~repro.index.packed.subquery_corners` or sliced from a
-    fleet-wide corner stack.  Executors answer both task kinds through
-    the same :func:`~repro.index.packed.corners_query_batch` walk.
+    directly (spatial corners augmented with the value band): rows of
+    the stacks :func:`~repro.index.packed.subquery_corners` lowers
+    boxed sub-queries to, or of a fleet tick's corner columns.  The
+    lowering happens once, in the parent, so a task is two small arrays
+    on any executor's wire.
     """
 
     shard: int
@@ -102,21 +87,9 @@ class ShardCornerTask:
     qhigh: np.ndarray
 
 
-AnyShardTask = Union[ShardTask, ShardCornerTask]
-
-
-def task_corners(
-    task: AnyShardTask, spatial_dims: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """A task's query-box corners, lowering boxed sub-queries on demand."""
-    if isinstance(task, ShardCornerTask):
-        return task.qlow, task.qhigh
-    return subquery_corners(task.subqueries, spatial_dims)
-
-
 @dataclass(frozen=True)
 class ShardBatchResult:
-    """One shard's compact answer to a :class:`ShardTask`.
+    """One shard's compact answer to a :class:`ShardCornerTask`.
 
     ``rows`` holds *global* store rows for every sub-query of the
     task, concatenated in sub-query order; sub-query ``q`` owns the
@@ -135,47 +108,14 @@ class ShardBatchResult:
         return np.concatenate([[0], np.cumsum(self.counts)])
 
 
-def _compiled_method(shard_slice: ShardSlice) -> PackedAccessMethod:
-    method = shard_slice.db.packed_access_method()
-    if method is None:
-        raise ShardError(
-            f"shard {shard_slice.shard} slice has no packed access method"
-        )
-    return method
-
-
-def _execute_task(
-    slices: Sequence[ShardSlice], task: AnyShardTask
+def run_task(
+    packed: PackedIndex, row_map: np.ndarray, task: ShardCornerTask
 ) -> ShardBatchResult:
-    """Run one task against its slice, mapping rows to global ids."""
-    if not 0 <= task.shard < len(slices):
-        raise ShardError(
-            f"task targets shard {task.shard}, only {len(slices)} bound"
-        )
-    shard_slice = slices[task.shard]
-    method = _compiled_method(shard_slice)
-    qlow, qhigh = task_corners(task, method.spatial_dims)
-    rows, counts, io = corners_query_batch(method.packed, qlow, qhigh)
+    """Answer one task on a shard's index, mapping rows to global ids."""
+    rows, counts, io = corners_query_batch(packed, task.qlow, task.qhigh)
     return ShardBatchResult(
-        shard=task.shard,
-        rows=shard_slice.row_map[rows],
-        counts=counts,
-        io=io,
+        shard=task.shard, rows=row_map[rows], counts=counts, io=io
     )
-
-
-#: Shard slices of the currently bound ProcessShardExecutor.  Set in the
-#: parent immediately before the pool forks; the children inherit the
-#: compiled indexes and store columns copy-on-write and read them here.
-_POOL_SLICES: tuple[ShardSlice, ...] | None = None
-
-
-def _pool_run_task(task: AnyShardTask) -> ShardBatchResult:
-    """Worker-side entry point: execute against the inherited slices."""
-    slices = _POOL_SLICES
-    if slices is None:
-        raise ShardError("worker process has no inherited shard slices")
-    return _execute_task(slices, task)
 
 
 class ShardExecutor(Protocol):
@@ -184,7 +124,7 @@ class ShardExecutor(Protocol):
     def bind(self, slices: Sequence[ShardSlice]) -> None:
         """Attach to a database's slices (compiling their indexes)."""
 
-    def run(self, tasks: Sequence[AnyShardTask]) -> list[ShardBatchResult]:
+    def run(self, tasks: Sequence[ShardCornerTask]) -> list[ShardBatchResult]:
         """Execute tasks, one compact batch result per task."""
 
     def close(self) -> None:
@@ -200,91 +140,40 @@ class SerialShardExecutor:
     def bind(self, slices: Sequence[ShardSlice]) -> None:
         bound = tuple(slices)
         for shard_slice in bound:
-            _compiled_method(shard_slice)
+            shard_slice.packed_method()  # compile now, not on first query
         self._slices = bound
 
-    def run(self, tasks: Sequence[AnyShardTask]) -> list[ShardBatchResult]:
-        if self._slices is None:
+    def run(self, tasks: Sequence[ShardCornerTask]) -> list[ShardBatchResult]:
+        slices = self._slices
+        if slices is None:
             raise ShardError("executor is not bound to a sharded database")
-        return [_execute_task(self._slices, task) for task in tasks]
+        results: list[ShardBatchResult] = []
+        for task in tasks:
+            if not 0 <= task.shard < len(slices):
+                raise ShardError(
+                    f"task targets shard {task.shard}, only {len(slices)} "
+                    "bound"
+                )
+            shard_slice = slices[task.shard]
+            results.append(
+                run_task(
+                    shard_slice.packed_method().packed,
+                    shard_slice.row_map,
+                    task,
+                )
+            )
+        return results
 
     def close(self) -> None:
         self._slices = None
-
-
-class ProcessShardExecutor:
-    """Forked worker pool scattering shard tasks across processes.
-
-    Parameters
-    ----------
-    processes:
-        Pool size; defaults to ``min(shard_count, cpu_count)`` at bind
-        time.  A fresh bind tears down any previous pool.
-    """
-
-    def __init__(self, processes: int | None = None) -> None:
-        if processes is not None and processes < 1:
-            raise ShardError(f"processes must be >= 1, got {processes}")
-        if not self.available():
-            raise ShardError(
-                "process execution needs the 'fork' start method; use "
-                "SerialShardExecutor on this platform"
-            )
-        self._processes = processes
-        self._pool: multiprocessing.pool.Pool | None = None
-
-    @staticmethod
-    def available() -> bool:
-        """True when copy-on-write forking is supported here."""
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    @property
-    def workers(self) -> int:
-        """Live pool size (0 before bind / after close)."""
-        if self._pool is None:
-            return 0
-        return self._pool._processes  # type: ignore[attr-defined]
-
-    def bind(self, slices: Sequence[ShardSlice]) -> None:
-        global _POOL_SLICES
-        self.close()
-        bound = tuple(slices)
-        # Compile every shard index in the parent so the children
-        # inherit the packed arrays instead of rebuilding them.
-        for shard_slice in bound:
-            _compiled_method(shard_slice)
-        _POOL_SLICES = bound
-        size = self._processes or min(
-            max(len(bound), 1), os.cpu_count() or 1
-        )
-        self._pool = multiprocessing.get_context("fork").Pool(processes=size)
-
-    def run(self, tasks: Sequence[AnyShardTask]) -> list[ShardBatchResult]:
-        if self._pool is None:
-            raise ShardError("executor is not bound to a sharded database")
-        if not tasks:
-            return []
-        return self._pool.map(_pool_run_task, list(tasks))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "ProcessShardExecutor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 #: Per-batch pool overhead (seconds) above which "auto" executor
 #: selection keeps the serial engine: a pool that costs more than this
 #: per scatter round-trip only pays off on batches larger than the
 #: coordinator typically sees, and loses outright on one shard or one
-#: core.  Override via ``ShardedDatabase(..., overhead_budget_s=...)``.
-DEFAULT_OVERHEAD_BUDGET_S = 2e-3
+#: core.
+OVERHEAD_BUDGET_S = 2e-3
 
 
 def measure_batch_overhead(

@@ -21,10 +21,10 @@ at every epoch, exactly as in the static case.
 Bookkeeping per step: slice-local row ids are re-based into the new
 global row space (one ``searchsorted`` per shard -- both sides are
 uid-sorted), the per-shard planning bounds are recomputed from the new
-columns, and the serial executor is re-bound.  Only the
-:class:`~repro.shard.parallel.SerialShardExecutor` is supported: a
-forked pool inherits compiled index arrays copy-on-write at bind time,
-so epoch patches applied in the parent would never reach the workers.
+columns, and the executor is re-bound.  Only the in-process
+:class:`~repro.shard.parallel.SerialShardExecutor` is supported: it
+reads each slice's live index per task, whereas a worker pool holds the
+arrays it was bound to, so every epoch would cost it a full re-publish.
 
 As-of-epoch queries bypass the scatter entirely and answer from the
 global scene database's retained epoch views.
@@ -137,23 +137,6 @@ class ShardedSceneDatabase(ShardedDatabase):
                 )
             )
         self._slices = tuple(slices)
-
-    def _refresh_bounds(self) -> None:
-        """Recompute per-shard index-space bounds from the live columns."""
-        sd = self._spatial_dims
-        store = self.store
-        low_cols = np.concatenate(
-            [store.support_low[:, :sd], store.values[:, None]], axis=1
-        )
-        high_cols = np.concatenate(
-            [store.support_high[:, :sd], store.values[:, None]], axis=1
-        )
-        self._bounds_low = np.vstack(
-            [low_cols[sl.row_map].min(axis=0) for sl in self._slices]
-        )
-        self._bounds_high = np.vstack(
-            [high_cols[sl.row_map].max(axis=0) for sl in self._slices]
-        )
 
     # -- the epoch surface --------------------------------------------------
 

@@ -1,16 +1,13 @@
-"""Zero-copy shared-memory data plane for the shard executors.
+"""Zero-copy shared-memory data plane: the pooled shard executor.
 
-The fork-based :class:`~repro.shard.parallel.ProcessShardExecutor`
-inherits the packed arrays copy-on-write, but it still pays a pickle
-for every :class:`~repro.shard.parallel.ShardBatchResult` crossing the
-pool boundary, and it cannot run at all where ``fork`` is unsafe.
-This module replaces both sides of that boundary with named
+A worker pool has two boundaries to cross -- index arrays out to the
+workers, result arrays back -- and pickling either would dominate a
+scatter.  This module puts both on named
 :mod:`multiprocessing.shared_memory` segments:
 
-* :class:`SharedArena` packs read-only numpy arrays -- the global
-  :class:`~repro.store.columns.CoefficientStore` hot columns and every
-  shard's compiled :class:`~repro.index.packed.PackedIndex` level
-  arrays plus ``row_map`` -- into **one** named segment.  A picklable
+* :class:`SharedArena` packs read-only numpy arrays -- every shard's
+  compiled :class:`~repro.index.packed.PackedIndex` level arrays,
+  leaf rows and ``row_map`` -- into **one** named segment.  A picklable
   :class:`ArenaManifest` (segment name + per-array dtype/shape/offset)
   lets any process re-materialise zero-copy views with
   :func:`numpy.frombuffer`; nothing but the manifest is ever pickled.
@@ -23,9 +20,9 @@ This module replaces both sides of that boundary with named
   path (counted, never wrong).
 * :class:`SharedMemoryShardExecutor` is a persistent **spawn** pool
   over both: workers attach the arena and claim a ring once, at
-  startup, via the pool initializer -- no fork-inherited module
-  globals, so the executor is safe on any start method and exercises
-  identically under ``spawn`` CI legs.
+  startup, via the pool initializer -- nothing is inherited, so the
+  executor behaves the same whatever the platform's default start
+  method.
 
 Ownership is strictly parental: the parent creates every segment and
 is the only process that ever calls ``unlink`` -- deterministically,
@@ -58,12 +55,12 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ShardError
-from repro.index.packed import PackedIndex, PackedLevel, corners_query_batch
+from repro.index.packed import PackedIndex, PackedLevel
 from repro.shard.parallel import (
-    AnyShardTask,
     ShardBatchResult,
+    ShardCornerTask,
     ShardSlice,
-    task_corners,
+    run_task,
 )
 
 __all__ = [
@@ -403,7 +400,7 @@ class GatherStats:
     """Byte accounting of descriptor-path vs pickled-path gathers.
 
     ``shm_payload_bytes`` counts array payload shipped as ring views --
-    exactly the bytes the fork executor would have pickled --
+    exactly the bytes a pickling pool would have serialised --
     ``pickled_payload_bytes`` counts payloads that overflowed a ring
     and fell back to pickling, and ``gathers`` counts ``run`` batches.
     """
@@ -441,7 +438,6 @@ class _ShardIndexSpec:
 
     shard: int
     ndim: int
-    spatial_dims: int
     levels: tuple[tuple[str, str, str], ...]  # (low, high, node_start) keys
     rows_key: str
     row_map_key: str
@@ -456,39 +452,28 @@ class _WorkerConfig:
     ring_names: tuple[str, ...]
 
 
-class _ShardEngine:
-    """A shard's query engine rebuilt from arena views (no store, no tree)."""
-
-    def __init__(
-        self, arena: SharedArena, spec: _ShardIndexSpec
-    ) -> None:
-        levels = [
-            PackedLevel(
-                low=arena.array(low_key),
-                high=arena.array(high_key),
-                node_start=arena.array(start_key),
-            )
-            for low_key, high_key, start_key in spec.levels
-        ]
-        self.packed = PackedIndex(
-            levels, arena.array(spec.rows_key), (), ndim=spec.ndim
+def _attach_index(
+    arena: SharedArena, spec: _ShardIndexSpec
+) -> tuple[PackedIndex, np.ndarray]:
+    """A shard's ``(packed index, row_map)`` rebuilt from arena views."""
+    levels = [
+        PackedLevel(
+            low=arena.array(low_key),
+            high=arena.array(high_key),
+            node_start=arena.array(start_key),
         )
-        self.row_map = arena.array(spec.row_map_key)
-        self.spatial_dims = spec.spatial_dims
-
-    def run(self, task: AnyShardTask) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray
-    ]:
-        """Global rows / per-query counts / per-query io for one task."""
-        qlow, qhigh = task_corners(task, self.spatial_dims)
-        rows, counts, io = corners_query_batch(self.packed, qlow, qhigh)
-        return self.row_map[rows], counts, io
+        for low_key, high_key, start_key in spec.levels
+    ]
+    packed = PackedIndex(
+        levels, arena.array(spec.rows_key), (), ndim=spec.ndim
+    )
+    return packed, arena.array(spec.row_map_key)
 
 
 @dataclass
 class _WorkerState:
     arena: SharedArena
-    engines: dict[int, _ShardEngine]
+    indexes: dict[int, tuple[PackedIndex, np.ndarray]]
     ring: ResultRing | None
     slot: int
 
@@ -512,16 +497,16 @@ def _shm_worker_init(config: _WorkerConfig, slot_counter: Any) -> None:
     ring: ResultRing | None = None
     if 0 <= slot < len(config.ring_names):
         ring = ResultRing.attach(config.ring_names[slot])
-    engines = {
-        spec.shard: _ShardEngine(arena, spec) for spec in config.specs
+    indexes = {
+        spec.shard: _attach_index(arena, spec) for spec in config.specs
     }
-    _WORKER = _WorkerState(arena=arena, engines=engines, ring=ring, slot=slot)
+    _WORKER = _WorkerState(arena=arena, indexes=indexes, ring=ring, slot=slot)
 
 
 @dataclass(frozen=True)
 class _TaskEnvelope:
     batch_id: int
-    task: AnyShardTask
+    task: ShardCornerTask
 
 
 @dataclass(frozen=True)
@@ -538,25 +523,28 @@ def _shm_run_task(envelope: _TaskEnvelope) -> _TaskAnswer:
     if state is None:  # pragma: no cover - initializer always ran
         raise ShardError("shm worker was not initialised")
     task = envelope.task
-    engine = state.engines.get(task.shard)
-    if engine is None:
-        raise ShardError(f"shm worker has no engine for shard {task.shard}")
-    rows, counts, io = engine.run(task)
-    payload_bytes = int(rows.nbytes + counts.nbytes + io.nbytes)
+    index = state.indexes.get(task.shard)
+    if index is None:
+        raise ShardError(f"shm worker has no index for shard {task.shard}")
+    result = run_task(*index, task)
+    payload_bytes = int(
+        result.rows.nbytes + result.counts.nbytes + result.io.nbytes
+    )
     if state.ring is not None:
         descriptor = state.ring.write(
-            envelope.batch_id, task.shard, state.slot, rows, counts, io
+            envelope.batch_id,
+            task.shard,
+            state.slot,
+            result.rows,
+            result.counts,
+            result.io,
         )
         if descriptor is not None:
             return _TaskAnswer(
                 descriptor=descriptor, fallback=None, payload_bytes=payload_bytes
             )
     return _TaskAnswer(
-        descriptor=None,
-        fallback=ShardBatchResult(
-            shard=task.shard, rows=rows, counts=counts, io=io
-        ),
-        payload_bytes=payload_bytes,
+        descriptor=None, fallback=result, payload_bytes=payload_bytes
     )
 
 
@@ -593,7 +581,6 @@ class SharedMemoryShardExecutor:
         self._arena: SharedArena | None = None
         self._rings: tuple[ResultRing, ...] = ()
         self._batch_id = 0
-        self._spatial_dims = 2
         #: Cumulative gather accounting since the last bind.
         self.stats = GatherStats()
         #: Accounting of the most recent ``run`` batch only.
@@ -634,20 +621,8 @@ class SharedMemoryShardExecutor:
             raise ShardError("cannot bind to zero shard slices")
         arrays: dict[str, np.ndarray] = {}
         specs: list[_ShardIndexSpec] = []
-        # The global store hot columns, published once: the slices all
-        # share the source store, so one copy serves every shard's
-        # value-band and support-box needs (and future rebalancing).
-        store = bound[0].db.store
-        self._spatial_dims = bound[0].db.spatial_dims
-        for column, values in store.hot_columns().items():
-            arrays[f"store/{column}"] = values
         for shard_slice in bound:
-            method = shard_slice.db.packed_access_method()
-            if method is None:
-                raise ShardError(
-                    f"shard {shard_slice.shard} slice has no packed access "
-                    "method"
-                )
+            method = shard_slice.packed_method()
             shard = shard_slice.shard
             level_keys: list[tuple[str, str, str]] = []
             for depth, level in enumerate(method.packed.levels):
@@ -666,8 +641,7 @@ class SharedMemoryShardExecutor:
             specs.append(
                 _ShardIndexSpec(
                     shard=shard,
-                    ndim=self._spatial_dims + 1 if ndim is None else ndim,
-                    spatial_dims=method.spatial_dims,
+                    ndim=method.spatial_dims + 1 if ndim is None else ndim,
                     levels=tuple(level_keys),
                     rows_key=f"s{shard}/rows",
                     row_map_key=f"s{shard}/row_map",
@@ -723,7 +697,7 @@ class SharedMemoryShardExecutor:
     # -- execution ----------------------------------------------------------
 
     def run(
-        self, tasks: Sequence[AnyShardTask]
+        self, tasks: Sequence[ShardCornerTask]
     ) -> list[ShardBatchResult]:
         """Scatter tasks; gather rows/counts/io as ring views.
 

@@ -316,22 +316,6 @@ class CoefficientStore:
         # query of the access methods), so the z axis is unconstrained.
         return np.flatnonzero(mask).astype(np.int64)
 
-    def hot_columns(self) -> dict[str, np.ndarray]:
-        """The columns the scatter-gather data plane reads per query.
-
-        These four arrays -- band values, the support-region MBB pair
-        and wire sizes -- are everything a shard worker needs to answer
-        ``Q(region, w_min, w_max)`` and price its payload, so they are
-        what :class:`repro.shard.shm.SharedArena` publishes.  Cold
-        columns (payloads, positions, uids) stay in the owning process.
-        """
-        return {
-            "values": self._w,
-            "sup_low": self._sup_low,
-            "sup_high": self._sup_high,
-            "sizes": self._sizes,
-        }
-
     def payload_bytes(self, rows: np.ndarray) -> int:
         """Wire size of a row slice, by column reduction."""
         return int(self._sizes[rows].sum())

@@ -20,6 +20,7 @@ from repro.index.dynamic import (
     DynamicPackedIndex,
     GridSpec,
 )
+from repro.index.packed import PackedAccessMethod
 from repro.store.scene import FootprintDelta, SceneDelta, SceneStore
 
 from tests.store.test_scene import random_delta, random_scene
@@ -128,6 +129,37 @@ def test_pinned_view_answers_the_old_epoch():
         want = reference.query_rows(region, w_min, w_max)
         assert np.array_equal(got.rows, want.rows)
         assert got.io.node_reads == want.io.node_reads
+
+
+@pytest.mark.parametrize("kind", ["static", "dynamic", "pinned"])
+def test_packed_surface_conformance(kind):
+    """One query surface class, three concrete access methods."""
+    rng = np.random.default_rng(6)
+    store = random_scene(rng).latest
+    if kind == "static":
+        surface = PackedAccessMethod(store, max_entries=4)
+    else:
+        surface = DynamicAccessMethod(store, max_entries=4)
+        if kind == "pinned":
+            surface = surface.pin()
+    for region, w_min, w_max in random_queries(rng):
+        for half_open in (False, True):
+            got = surface.query_rows(region, w_min, w_max, half_open=half_open)
+            want = store.filter_rows(region, w_min, w_max, half_open=half_open)
+            assert sorted(got.rows.tolist()) == want.tolist()
+    with pytest.raises(IndexError_):
+        surface.query_rows(Box((0.0, 0.0), (1.0, 1.0)), 0.6, 0.4)
+    # ``candidates`` balances its own checkpoint: an enclosing delta
+    # sees the traversal exactly once, which is how the frame-delta
+    # planner bills a cold frame.
+    box = surface.query_box(Box((-60.0, -60.0), (100.0, 100.0)), 0.0, 1.0)
+    surface.stats.push()
+    found = surface.packed.candidates(box)
+    traversal = surface.stats.pop_delta()
+    surface.stats.push()
+    assert np.array_equal(surface.candidates(box).rows, found.rows)
+    assert surface.stats.pop_delta() == traversal
+    assert traversal.node_reads > 0
 
 
 def test_mismatched_footprint_rejected():

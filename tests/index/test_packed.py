@@ -22,7 +22,13 @@ from repro.geometry.box import Box
 from repro.index.access import MotionAwareAccessMethod
 from repro.index.bulk import bulk_load
 from repro.index.hilbert import hilbert_bulk_load
-from repro.index.packed import PackedAccessMethod, PackedIndex, PackedLevel
+from repro.index.packed import (
+    PackedAccessMethod,
+    PackedIndex,
+    PackedLevel,
+    query_corner_box,
+    subquery_corners,
+)
 from repro.index.rstar import RStarTree
 from repro.index.rtree import RTree
 
@@ -326,6 +332,30 @@ class TestAccessMethodParitySeeded:
         region = Box((0.0, 0.0), (10.0, 10.0))
         with pytest.raises(IndexError_):
             packed.query_rows(region, 0.6, 0.4)
+
+
+@pytest.mark.parametrize("region_dims, spatial_dims", [(2, 2), (3, 2), (2, 3)])
+def test_subquery_corners_match_query_corner_box(region_dims, spatial_dims):
+    """The scatter path's one lowering is ``query_corner_box``, stacked."""
+    rng = np.random.default_rng(region_dims * 10 + spatial_dims)
+    subqueries = []
+    for _ in range(6):
+        low = rng.uniform(0.0, 100.0, region_dims)
+        band = np.sort(rng.uniform(0.0, 1.0, 2))
+        subqueries.append(
+            (Box(low, low + rng.uniform(0.0, 50.0, region_dims)),
+             float(band[0]), float(band[1]))
+        )
+    qlow, qhigh = subquery_corners(subqueries, spatial_dims)
+    assert qlow.shape == qhigh.shape == (6, spatial_dims + 1)
+    for i, (region, w_min, w_max) in enumerate(subqueries):
+        box = query_corner_box(region, w_min, w_max, spatial_dims)
+        assert qlow[i].tobytes() == box.low.tobytes()
+        assert qhigh[i].tobytes() == box.high.tobytes()
+    empty_low, empty_high = subquery_corners([], spatial_dims)
+    assert empty_low.shape == empty_high.shape == (0, spatial_dims + 1)
+    with pytest.raises(IndexError_):
+        subquery_corners([(subqueries[0][0], 0.6, 0.4)], spatial_dims)
 
 
 if HAVE_HYPOTHESIS:

@@ -6,23 +6,11 @@ and broad queries genuinely span shard boundaries.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-
 import pytest
 
 from repro.geometry.box import Box
 from repro.server.database import ObjectDatabase
 from repro.workloads.cityscape import CityConfig, build_city
-
-
-def pytest_configure(config: pytest.Config) -> None:
-    # The CI spawn leg sets REPRO_MP_START_METHOD=spawn to prove the
-    # suite holds when nothing is inherited by fork (executors that
-    # need a specific method pin their own context regardless).
-    method = os.environ.get("REPRO_MP_START_METHOD")
-    if method:
-        multiprocessing.set_start_method(method, force=True)
 
 SPACE = Box((0.0, 0.0), (1000.0, 1000.0))
 

@@ -1,7 +1,7 @@
 """ShardCoordinator vs a plain Server: response-level parity.
 
-The coordinator's scatter-gather (serial, batched ``execute_many``,
-and process-pool) must reproduce the unsharded server's responses --
+The coordinator's scatter-gather (serial and batched ``execute_many``)
+must reproduce the unsharded server's responses --
 same uids in the same first-occurrence merge order, same filtered-out
 accounting, same base-mesh shipping, same payload bytes.  Only the
 I/O node-read counts may differ at ``S > 1`` (per-shard trees have
@@ -16,11 +16,7 @@ from repro.errors import ShardError
 from repro.geometry.box import Box
 from repro.net.messages import RegionRequest, RetrieveRequest
 from repro.server.server import Server
-from repro.shard import (
-    ProcessShardExecutor,
-    ShardCoordinator,
-    ShardedDatabase,
-)
+from repro.shard import ShardCoordinator, ShardedDatabase
 from repro.store.uids import EMPTY_UIDS, UidSet
 
 
@@ -179,26 +175,6 @@ class TestResponseParity:
         assert len(shards_hit) > 1
         assert second.record_count == 0
         assert second.filtered_out == first.record_count
-
-
-class TestProcessExecution:
-    def test_process_pool_matches_serial(self, shard_city):
-        if not ProcessShardExecutor.available():
-            pytest.skip("fork start method unavailable")
-        baseline = drive(Server(shard_city), 25)
-        executor = ProcessShardExecutor(processes=2)
-        with ShardedDatabase.from_database(
-            shard_city, 8, executor=executor
-        ) as db:
-            coordinator = ShardCoordinator(db)
-            assert executor.workers == 2
-            assert drive(coordinator, 25) == baseline
-            assert drive_many(coordinator, 26) == baseline
-        assert executor.workers == 0
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ShardError):
-            ProcessShardExecutor(processes=0)
 
 
 class TestShardAwarePlanning:

@@ -32,8 +32,8 @@ from repro.geometry.box import Box
 from repro.shard import (
     SerialShardExecutor,
     SharedMemoryShardExecutor,
+    ShardCornerTask,
     ShardedDatabase,
-    ShardTask,
 )
 from repro.shard.database import _usable_cpus
 from repro.shard.parallel import measure_batch_overhead
@@ -236,6 +236,18 @@ def test_close_unlinks_all_segments_and_is_idempotent(shard_city) -> None:
     assert executor.arena is not None
     owned = {executor.arena.name, *executor.ring_names}
     assert owned <= shm_names()
+    # The arena carries each shard's index arrays and row map, nothing else.
+    expected_keys = set()
+    for shard_slice in db.slices:
+        prefix = f"s{shard_slice.shard}"
+        depth = shard_slice.packed_method().packed.height
+        expected_keys |= {f"{prefix}/rows", f"{prefix}/row_map"}
+        expected_keys |= {
+            f"{prefix}/L{d}/{part}"
+            for d in range(depth)
+            for part in ("low", "high", "start")
+        }
+    assert sorted(executor.arena.keys()) == sorted(expected_keys)
     db.close()
     assert not (owned & shm_names())
     db.close()  # second close is a no-op
@@ -267,8 +279,10 @@ def test_worker_crash_raises_shard_error_and_reclaims(shard_city) -> None:
         # Kill the pool from inside: a worker hard-exits mid-task.
         with pytest.raises(Exception):
             executor._pool.submit(os._exit, 3).result(timeout=60)
-        task = ShardTask(
-            shard=0, subqueries=((Box((0.0, 0.0), (10.0, 10.0)), 0.0, 1.0),)
+        task = ShardCornerTask(
+            shard=0,
+            qlow=np.array([[0.0, 0.0, 0.0]]),
+            qhigh=np.array([[10.0, 10.0, 1.0]]),
         )
         with pytest.raises(ShardError, match="broke mid-gather"):
             executor.run([task])
@@ -354,11 +368,12 @@ def test_auto_single_core_never_constructs_pool(
 
 def test_auto_overhead_budget_tears_pool_down(shard_city, monkeypatch) -> None:
     monkeypatch.setattr("repro.shard.database._usable_cpus", lambda: 8)
+    monkeypatch.setattr(
+        "repro.shard.database.measure_batch_overhead", lambda pool: 60.0
+    )
     before = shm_names() if SHM_DIR.is_dir() else set()
-    with ShardedDatabase.from_database(
-        shard_city, 2, executor="auto", overhead_budget_s=0.0
-    ) as db:
-        # A round trip can never take <= 0 s, so auto must fall back.
+    with ShardedDatabase.from_database(shard_city, 2, executor="auto") as db:
+        # A minute per round trip is over any budget: auto must fall back.
         assert isinstance(db.executor, SerialShardExecutor)
     if SHM_DIR.is_dir():
         assert shm_names() <= before
@@ -366,9 +381,10 @@ def test_auto_overhead_budget_tears_pool_down(shard_city, monkeypatch) -> None:
 
 def test_auto_keeps_pool_within_budget(shard_city, monkeypatch) -> None:
     monkeypatch.setattr("repro.shard.database._usable_cpus", lambda: 8)
-    with ShardedDatabase.from_database(
-        shard_city, 2, executor="auto", overhead_budget_s=60.0
-    ) as db:
+    monkeypatch.setattr(
+        "repro.shard.database.measure_batch_overhead", lambda pool: 0.0
+    )
+    with ShardedDatabase.from_database(shard_city, 2, executor="auto") as db:
         assert isinstance(db.executor, SharedMemoryShardExecutor)
 
 
