@@ -127,32 +127,14 @@ class MotionAwareSessionPolicy:
         self._sent_uids: UidSet = EMPTY_UIDS
         self._degradation = DegradationController(config.resilience)
 
-    # -- components (shared with the frozen legacy loop) -----------------------------
-
-    @property
-    def mapper(self) -> SpeedResolutionMapper:
-        return self._mapper
-
-    @property
-    def grid(self) -> Grid:
-        return self._grid
-
     @property
     def manager(self) -> MotionAwareBufferManager:
         return self._manager
 
     @property
-    def degradation(self) -> DegradationController:
-        return self._degradation
-
-    @property
     def sent_uids(self) -> UidSet:
         """Every record uid the client has successfully received."""
         return self._sent_uids
-
-    @sent_uids.setter
-    def sent_uids(self, uids: UidSet) -> None:
-        self._sent_uids = uids
 
     def quote_cells(
         self,
@@ -162,19 +144,31 @@ class MotionAwareSessionPolicy:
         assume_bases: frozenset[int],
     ) -> tuple[list[BlockQuote], UidSet, frozenset[int]]:
         """Price a set of blocks without committing server state."""
-        quotes: list[BlockQuote] = []
-        for cell in cells:
+        if len(cells) == 1:
+            # The batch of one, through the server's single-block entry:
+            # the end-to-end trace hangs its `server.server.quote` span
+            # on `quote_block`, which this keeps on the client's path.
             quote = self._server.quote_block(
                 self._client_id,
-                self._grid.cell_box(cell),
+                self._grid.cell_box(cells[0]),
                 w_min,
                 exclude,
                 assume_shipped_bases=assume_bases,
             )
-            quotes.append(quote)
-            exclude = exclude | quote.new_uids
-            assume_bases = assume_bases | quote.new_base_ids
-        return quotes, exclude, assume_bases
+            return (
+                [quote],
+                exclude | quote.new_uids,
+                assume_bases | quote.new_base_ids,
+            )
+        return self._server.quote_blocks(
+            self._client_id,
+            self._grid.cell_boxes(
+                np.asarray(cells, dtype=int).reshape(-1, self._grid.ndim)
+            ),
+            w_min,
+            exclude,
+            assume_shipped_bases=assume_bases,
+        )
 
     # -- SessionPolicy interface -----------------------------------------------------
 
@@ -282,24 +276,6 @@ class NaiveSessionPolicy:
             oid: max(size // page_bytes, 1) for oid, size in self._sizes.items()
         }
         self._cache = LRUObjectCache(config.buffer_bytes)
-
-    # -- components (shared with the frozen legacy loop) -----------------------------
-
-    @property
-    def index(self) -> RTree:
-        return self._index
-
-    @property
-    def cache(self) -> LRUObjectCache:
-        return self._cache
-
-    @property
-    def object_sizes(self) -> dict[int, int]:
-        return self._sizes
-
-    @property
-    def object_io(self) -> dict[int, int]:
-        return self._object_io
 
     # -- SessionPolicy interface -----------------------------------------------------
 

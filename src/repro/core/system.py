@@ -17,9 +17,7 @@ Both are thin configurations of the unified
 (resolution -> plan -> transport -> commit/abort -> account) lives in
 :mod:`repro.sim.session`, the behaviours that differ live in the
 :mod:`repro.core.sessions` policies, and :meth:`run` drives the session
-through the tour on the discrete-event kernel.  The pre-kernel
-lock-step loops are preserved verbatim as :meth:`run_legacy` so the
-scenario suite can assert the refactor is bit-identical.
+through the tour on the discrete-event kernel.
 
 Both run over the same database, link model and tours.  Per tick the
 *query response time* is the time until the current frame's data is
@@ -54,7 +52,6 @@ from repro.index.rtree import RTree
 from repro.motion.trajectory import Trajectory
 from repro.net.faults import FaultInjector, FaultSchedule
 from repro.net.link import LinkConfig, WirelessLink
-from repro.net.simclock import SimClock
 from repro.server.server import Server
 from repro.sim.resources import FifoResource
 from repro.sim.session import ClientSession, SessionResult, run_tour
@@ -144,9 +141,7 @@ class MotionAwareSystem:
         client_id: int = 0,
         mapper: SpeedResolutionMapper | None = None,
     ) -> None:
-        self._server = server
         self._config = config
-        self._client_id = client_id
         self._policy = MotionAwareSessionPolicy(
             server, config, client_id=client_id, mapper=mapper
         )
@@ -191,78 +186,6 @@ class MotionAwareSystem:
         """Drive the whole tour; returns the aggregates."""
         return run_tour(self.session(), tour)
 
-    def run_legacy(self, tour: Trajectory) -> SystemRunResult:
-        """The pre-kernel lock-step loop, preserved verbatim.
-
-        Kept only as the reference implementation for the bit-identity
-        parity suite (``tests/scenarios/test_parity.py``); new callers
-        use :meth:`run`.
-        """
-        result = SystemRunResult()
-        cfg = self._config
-        policy = self._policy
-        clock = SimClock(start=float(tour.times[0]))
-        for i in range(len(tour)):
-            if float(tour.times[i]) > clock.now:
-                clock.advance_to(float(tour.times[i]))
-            now = clock.now
-            position = tour.positions[i]
-            speed = tour.nominal_speed
-            base_w_min = float(policy.mapper(speed))
-            w_min = policy.degradation.effective_w_min(now, base_w_min)
-            if policy.degradation.is_degraded(now):
-                result.degraded_ticks += 1
-            result.w_min_trace.append(w_min)
-            query = cfg.query_box(position)
-            tick = policy.manager.tick(position, speed, query, w_min)
-            response_s = 0.0
-            if tick.contacted_server:
-                demand_quotes, exclude, bases = policy.quote_cells(
-                    tick.demand_cells, w_min, policy.sent_uids, frozenset()
-                )
-                demand_payload = sum(q.payload_bytes for q in demand_quotes)
-                demand_io = sum(q.io_node_reads for q in demand_quotes)
-                outcome = self._exchanger.request(
-                    demand_payload, speed=speed, now=now
-                )
-                result.retries += outcome.retries
-                if outcome.ok:
-                    prefetch_quotes, exclude, bases = policy.quote_cells(
-                        tick.prefetch_cells, w_min, exclude, bases
-                    )
-                    for quote in demand_quotes + prefetch_quotes:
-                        self._server.commit_quote(quote)
-                        result.records_shipped += len(quote.new_uids)
-                    policy.sent_uids = exclude
-                    prefetch_payload = sum(
-                        q.payload_bytes for q in prefetch_quotes
-                    )
-                    prefetch_io = sum(q.io_node_reads for q in prefetch_quotes)
-                    response_s = (
-                        outcome.elapsed_s + demand_io * cfg.io_time_per_node_s
-                    )
-                    result.demand_bytes += demand_payload
-                    result.prefetch_bytes += prefetch_payload
-                    result.io_node_reads += demand_io + prefetch_io
-                else:
-                    # Stale-serve: render from what the buffer still
-                    # holds, drop the phantom blocks, degrade.
-                    result.stale_served_ticks += 1
-                    result.failure_ticks.append(i)
-                    if outcome.timed_out:
-                        result.timeouts += 1
-                    policy.manager.rollback(
-                        tick.demand_cells + tick.prefetch_cells
-                    )
-                    response_s = (
-                        outcome.elapsed_s + demand_io * cfg.io_time_per_node_s
-                    )
-                    result.io_node_reads += demand_io
-                    policy.degradation.note_failure(now + outcome.elapsed_s)
-            clock.advance(response_s)
-            result.note(response_s, tick.contacted_server)
-        return result
-
 
 class NaiveSystem:
     """Highest-resolution, object-granular retrieval with LRU caching.
@@ -281,7 +204,6 @@ class NaiveSystem:
         client_id: int = 0,
         index: RTree | None = None,
     ) -> None:
-        self._server = server
         self._config = config
         self._policy = NaiveSessionPolicy(server, config, index=index)
         self._link = config.build_link(client_id)
@@ -315,58 +237,3 @@ class NaiveSystem:
     def run(self, tour: Trajectory) -> SystemRunResult:
         """Drive the whole tour; returns the aggregates."""
         return run_tour(self.session(), tour)
-
-    def run_legacy(self, tour: Trajectory) -> SystemRunResult:
-        """The pre-kernel lock-step loop, preserved verbatim.
-
-        Kept only as the reference implementation for the bit-identity
-        parity suite (``tests/scenarios/test_parity.py``); new callers
-        use :meth:`run`.
-        """
-        result = SystemRunResult()
-        cfg = self._config
-        policy = self._policy
-        clock = SimClock(start=float(tour.times[0]))
-        for i in range(len(tour)):
-            if float(tour.times[i]) > clock.now:
-                clock.advance_to(float(tour.times[i]))
-            now = clock.now
-            position = tour.positions[i]
-            speed = tour.nominal_speed
-            result.w_min_trace.append(0.0)
-            query = cfg.query_box(position)
-            policy.index.stats.push()
-            object_ids = policy.index.search(query)
-            index_io = policy.index.stats.pop_delta().node_reads
-            payload = 0
-            data_io = 0
-            missing = [oid for oid in object_ids if oid not in policy.cache]
-            for oid in object_ids:
-                if oid in policy.cache:
-                    policy.cache.touch(oid)
-            for oid in missing:
-                payload += policy.object_sizes[oid]
-                data_io += policy.object_io[oid]
-            contacted = bool(missing)
-            response_s = 0.0
-            if contacted:
-                outcome = self._exchanger.request(payload, speed=speed, now=now)
-                result.retries += outcome.retries
-                response_s = (
-                    outcome.elapsed_s
-                    + (index_io + data_io) * cfg.io_time_per_node_s
-                )
-                result.io_node_reads += index_io + data_io
-                if outcome.ok:
-                    for oid in missing:
-                        policy.cache.add(oid, policy.object_sizes[oid])
-                    result.demand_bytes += payload
-                    result.records_shipped += len(missing)
-                else:
-                    result.stale_served_ticks += 1
-                    result.failure_ticks.append(i)
-                    if outcome.timed_out:
-                        result.timeouts += 1
-            clock.advance(response_s)
-            result.note(response_s, contacted)
-        return result

@@ -126,13 +126,29 @@ class Grid:
         Validity is the caller's business (:meth:`cells_within` and
         :meth:`cell_ids` only produce valid cells).
         """
-        cells = np.asarray(cells)
+        low = self._cell_lows(np.asarray(cells))
+        return (low + (low + self._cell_size)) / 2.0
+
+    def _cell_lows(self, cells: np.ndarray) -> np.ndarray:
         if cells.ndim != 2 or cells.shape[1] != self.ndim:
             raise GeometryError(
                 f"expected an (n, {self.ndim}) cell array, got shape {cells.shape}"
             )
-        low = self._space.low + cells.astype(float) * self._cell_size
-        return (low + (low + self._cell_size)) / 2.0
+        return self._space.low + cells.astype(float) * self._cell_size
+
+    def cell_boxes(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(low, high)`` corner stacks of an ``(n, ndim)`` cell array.
+
+        Row ``i`` is bit-equal to ``cell_box(tuple(cells[i]))``'s
+        ``low``/``high``, and an invalid cell raises the same error.
+        """
+        cells = np.asarray(cells)
+        low = self._cell_lows(cells)
+        if ((cells < 0) | (cells >= np.asarray(self._shape))).any():
+            raise GeometryError(
+                f"invalid cell in {cells.tolist()} for grid shape {self._shape}"
+            )
+        return low, low + self._cell_size
 
     def cells(self) -> Iterator[CellId]:
         """Iterate over every cell id in row-major order."""

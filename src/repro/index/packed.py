@@ -67,6 +67,7 @@ __all__ = [
     "PackedAccessMethod",
     "query_corner_box",
     "subquery_corners",
+    "region_corners",
     "corners_query_batch",
 ]
 
@@ -116,6 +117,40 @@ def subquery_corners(
         qlow[i, spatial_dims] = w_min
         qhigh[i, spatial_dims] = w_max
     return qlow, qhigh
+
+
+def region_corners(
+    low: np.ndarray,
+    high: np.ndarray,
+    w_min: float,
+    w_max: float,
+    spatial_dims: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`subquery_corners` for ``(n, ndim)`` region stacks on one band.
+
+    Row ``i`` equals the corners of ``(Box(low[i], high[i]), w_min,
+    w_max)``: same band check, same 3-D -> 2-D projection and 2-D ->
+    3-D lift, no :class:`Box` per region.
+    """
+    if not 0.0 <= w_min <= w_max <= 1.0:
+        raise IndexError_(
+            f"invalid value band [{w_min}, {w_max}]; need 0 <= min <= max <= 1"
+        )
+    n, ndim = low.shape
+    if (ndim, spatial_dims) == (3, 2):
+        low, high = low[:, :2], high[:, :2]
+    elif (ndim, spatial_dims) == (2, 3):
+        # Lift a 2-D window to all heights.
+        low = np.column_stack([low, np.full(n, -1e12)])
+        high = np.column_stack([high, np.full(n, 1e12)])
+    elif ndim != spatial_dims:
+        raise IndexError_(
+            f"query region is {ndim}-D but the index is {spatial_dims}-D"
+        )
+    return (
+        np.column_stack([low, np.full(n, w_min)]),
+        np.column_stack([high, np.full(n, w_max)]),
+    )
 
 
 def corners_query_batch(

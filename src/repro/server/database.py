@@ -11,9 +11,9 @@ needs:
   store (the vectorised currency of the serving stack);
 * :meth:`ObjectDatabase.query_region` -- the same query materialised as
   per-record views, for legacy consumers;
-* :meth:`ObjectDatabase.block_rows` / :meth:`ObjectDatabase.block_bytes`
+* :meth:`ObjectDatabase.block_rows_fn` / :meth:`ObjectDatabase.block_bytes_fn`
   -- one buffer block (grid cell x resolution) as rows / wire bytes,
-  used by the buffer managers.
+  as callables bound to a grid, used by the buffer managers.
 """
 
 from __future__ import annotations
@@ -379,39 +379,39 @@ class ObjectDatabase:
 
     # -- block interface for the buffer layer ------------------------------------------
 
-    def block_rows(self, grid: Grid, cell: CellId, w_min: float) -> np.ndarray:
-        """Row ids of one buffer block: all records answering the cell.
+    def block_rows_fn(self, grid: Grid):
+        """A ``(cell, w_min) -> row ids`` callable bound to ``grid``.
 
-        Memoised per (cell, resolution, grid) because the buffer managers
-        ask repeatedly; the query runs without I/O side effects on the
-        cached path.  The grid enters the key by value, so every client
-        gridding the space the same way shares one entry (and a
-        collected grid's recycled ``id`` can never alias another's rows).
+        One buffer block: all records answering the cell.  Memoised per
+        (cell, resolution, grid) because the buffer managers ask
+        repeatedly; the query runs without I/O side effects on the
+        cached path.  The grid enters the key by value (computed once
+        here, not per call), so every client gridding the space the
+        same way shares one entry (and a collected grid's recycled
+        ``id`` can never alias another's rows).
         """
-        bounds = grid.space.low.tobytes() + grid.space.high.tobytes()
-        key = (cell, round(w_min, 6), grid.shape, bounds)
-        if key in self._block_cache:
-            return self._block_cache[key]
-        rows = self.query_region_rows(grid.cell_box(cell), w_min, 1.0).rows
-        self._block_cache[key] = rows
-        return rows
+        grid_key = (
+            grid.shape,
+            grid.space.low.tobytes() + grid.space.high.tobytes(),
+        )
 
-    def block_bytes(self, grid: Grid, cell: CellId, w_min: float) -> int:
-        """Wire size of one buffer block, by column reduction."""
-        return self.store.payload_bytes(self.block_rows(grid, cell, w_min))
-
-    def block_bytes_fn(self, grid: Grid):
-        """A ``(cell, w_min) -> bytes`` callable bound to ``grid``."""
-
-        def fn(cell: CellId, w_min: float) -> int:
-            return self.block_bytes(grid, cell, w_min)
+        def fn(cell: CellId, w_min: float) -> np.ndarray:
+            key = (cell, round(w_min, 6), *grid_key)
+            rows = self._block_cache.get(key)
+            if rows is None:
+                rows = self.query_region_rows(
+                    grid.cell_box(cell), w_min, 1.0
+                ).rows
+                self._block_cache[key] = rows
+            return rows
 
         return fn
 
-    def block_rows_fn(self, grid: Grid):
-        """A ``(cell, w_min) -> row ids`` callable bound to ``grid``."""
+    def block_bytes_fn(self, grid: Grid):
+        """A ``(cell, w_min) -> bytes`` callable bound to ``grid``."""
+        rows_fn = self.block_rows_fn(grid)
 
-        def fn(cell: CellId, w_min: float) -> np.ndarray:
-            return self.block_rows(grid, cell, w_min)
+        def fn(cell: CellId, w_min: float) -> int:
+            return self.store.payload_bytes(rows_fn(cell, w_min))
 
         return fn

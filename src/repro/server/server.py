@@ -33,7 +33,8 @@ served client when the table is full and on explicit
 :meth:`Server.reset_client` / :meth:`Server.disconnect`.  Block
 shipping is split into a side-effect-free *quote* and an explicit
 *commit*, so a transfer that dies on the wire never marks its records
-as delivered.
+as delivered.  A contact's blocks are quoted together
+(:meth:`Server.quote_blocks`): one batched fetch, one shared join.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from repro.net.messages import (
     RetrieveResponse,
 )
 from repro.index.columnar import RowResult
+from repro.index.packed import corners_query_batch, region_corners
 from repro.server.database import ObjectDatabase
 from repro.server.planner import FrontierPlanner
 from repro.store.columns import CoefficientStore
@@ -459,6 +461,104 @@ class Server:
             * self._db.encoding.base_vertex_bytes()
         )
 
+    def _fetch_blocks(
+        self, client_id: int, low: np.ndarray, high: np.ndarray, w_min: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fetch stage of :meth:`quote_blocks`: ``(rows, qid, node_reads)``.
+
+        ``rows`` are the store rows answering the blocks' ``[w_min, 1]``
+        queries, ``qid`` the block each row answers and ``node_reads``
+        the per-block I/O.  A live packed index answers the whole list
+        in one shared frontier walk; frame-delta planning (memos are
+        per-client warm state, not batchable) and the other access
+        methods run the serial per-block :meth:`_region_rows` loop.
+        """
+        method = self._db.packed_access_method()
+        if method is not None and self.planner is None:
+            rows, counts, io = corners_query_batch(
+                method.packed,
+                *region_corners(low, high, w_min, 1.0, method.spatial_dims),
+            )
+            return rows, np.repeat(np.arange(len(low)), counts), io[:, 0]
+        results = [
+            self._region_rows(client_id, Box(lo, hi), w_min, 1.0)
+            for lo, hi in zip(low, high)
+        ]
+        return (
+            np.concatenate([r.rows for r in results]),
+            np.repeat(np.arange(len(low)), [r.rows.size for r in results]),
+            np.array([r.io.node_reads for r in results], dtype=np.int64),
+        )
+
+    def quote_blocks(
+        self,
+        client_id: int,
+        regions: tuple[np.ndarray, np.ndarray],
+        w_min: float,
+        exclude_uids: UidSet | Iterable[tuple[int, int, int]] | None,
+        *,
+        assume_shipped_bases: frozenset[int] = frozenset(),
+    ) -> tuple[list[BlockQuote], UidSet, frozenset[int]]:
+        """Price a list of block shipments without committing any state.
+
+        ``regions`` is the blocks' ``(low, high)`` corner stacks, each
+        ``(n, ndim)``.  Block ``k`` is quoted as if blocks ``< k`` had
+        already been delivered: it excludes ``exclude_uids`` plus every
+        uid an earlier block quoted, and a base mesh two blocks share
+        is charged to the first of them only (``assume_shipped_bases``
+        names meshes quoted earlier in the same round trip).  Returns
+        the quotes, the exclude set grown by every quoted uid, and the
+        assumed bases grown by every quoted base.
+        """
+        low, high = regions
+        count = len(low)
+        exclude = UidSet.coerce(exclude_uids)
+        if count == 0:
+            return [], exclude, assume_shipped_bases
+        store = self._db.store
+        rows, qid, node_reads = self._fetch_blocks(client_id, low, high, w_min)
+        # Canonical order, every block at once: ascending packed uid
+        # within ascending block, from one (block, uid rank) key sort.
+        qid, rank = np.divmod(
+            np.sort(qid * len(store) + store.uid_rank[rows]), len(store)
+        )
+        uids = store.packed_uids[store.uid_order[rank]]
+        # No-reship join, then each uid stays with the first block that
+        # holds it; both keep the (block, uid) order.
+        fresh = np.flatnonzero(~exclude.contains_packed(uids))
+        fresh = fresh[np.sort(np.unique(uids[fresh], return_index=True)[1])]
+        qid, uids = qid[fresh], uids[fresh]
+        rows = store.uid_order[rank[fresh]]
+        payload = np.bincount(
+            qid, weights=store.sizes[rows], minlength=count
+        ).astype(np.int64)
+        # A base mesh ships (and its connectivity is charged) with the
+        # first block that carries one of its vertices.
+        shipped = self._shipped_bases.get(client_id, set())
+        new_bases: list[set[int]] = [set() for _ in range(count)]
+        base = np.flatnonzero(store.levels[rows] == -1)
+        oids, first = np.unique(store.object_ids[rows[base]], return_index=True)
+        for oid, block in zip(oids.tolist(), qid[base[first]].tolist()):
+            if oid not in shipped and oid not in assume_shipped_bases:
+                new_bases[block].add(oid)
+                payload[block] += self._base_connectivity_bytes(oid)
+        bounds = np.searchsorted(qid, np.arange(count + 1)).tolist()
+        quotes = [
+            BlockQuote(
+                client_id=client_id,
+                payload_bytes=int(payload[k]),
+                io_node_reads=int(node_reads[k]),
+                new_uids=UidSet.from_packed(uids[bounds[k] : bounds[k + 1]]),
+                new_base_ids=frozenset(new_bases[k]),
+            )
+            for k in range(count)
+        ]
+        return (
+            quotes,
+            exclude.union(uids),
+            assume_shipped_bases.union(*new_bases),
+        )
+
     def quote_block(
         self,
         client_id: int,
@@ -468,35 +568,15 @@ class Server:
         *,
         assume_shipped_bases: frozenset[int] = frozenset(),
     ) -> BlockQuote:
-        """Price one block shipment without committing any state.
-
-        ``assume_shipped_bases`` lets a caller quoting several blocks in
-        one round trip avoid double-counting a base mesh two blocks
-        share; pass the union of ``new_base_ids`` quoted so far.
-        """
-        store = self._db.store
-        exclude = UidSet.coerce(exclude_uids)
-        result = self._region_rows(client_id, region, w_min, 1.0)
-        rows = result.rows
-        if rows.size:
-            rows = rows[~exclude.contains_packed(store.packed_uids[rows])]
-        payload = store.payload_bytes(rows)
-        shipped = self._shipped_bases.get(client_id, set())
-        new_bases: set[int] = set()
-        base_rows = rows[store.levels[rows] == -1]
-        for oid in np.unique(store.object_ids[base_rows]):
-            oid = int(oid)
-            if oid not in shipped and oid not in assume_shipped_bases:
-                new_bases.add(oid)
-                # Connectivity cost of the base mesh, shipped once.
-                payload += self._base_connectivity_bytes(oid)
-        return BlockQuote(
-            client_id=client_id,
-            payload_bytes=payload,
-            io_node_reads=result.io.node_reads,
-            new_uids=store.uid_set(rows),
-            new_base_ids=frozenset(new_bases),
+        """Price one block shipment: :meth:`quote_blocks` of one."""
+        quotes, _, _ = self.quote_blocks(
+            client_id,
+            (region.low[None], region.high[None]),
+            w_min,
+            exclude_uids,
+            assume_shipped_bases=assume_shipped_bases,
         )
+        return quotes[0]
 
     def commit_quote(self, quote: BlockQuote) -> None:
         """Mark a quoted shipment as delivered (bases now shipped)."""

@@ -247,6 +247,17 @@ class ShardCoordinator(Server):
             )
         return self._canonical(db.gather_rows(parts))
 
+    def _fetch_blocks(
+        self, client_id: int, low: np.ndarray, high: np.ndarray, w_min: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One scatter for the whole block list (serial under planning)."""
+        if self._plan_deltas:
+            return super()._fetch_blocks(client_id, low, high, w_min)
+        db = self.sharded
+        qlow, qhigh = db.lower_regions(low, high, w_min, 1.0)
+        gather = db.assemble_flat(*db.scatter(qlow, qhigh), len(low))
+        return gather.rows, gather.qid, gather.io[:, 0]
+
     # -- batched scatter-gather ------------------------------------------------
 
     def execute_many(

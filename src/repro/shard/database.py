@@ -48,7 +48,7 @@ from repro.errors import IndexError_, ShardError
 from repro.geometry.box import Box
 from repro.index.access import AccessResult
 from repro.index.columnar import RowResult
-from repro.index.packed import subquery_corners
+from repro.index.packed import region_corners, subquery_corners
 from repro.index.stats import IOStats
 from repro.server.database import AnyAccessMethod, ObjectDatabase, StoredObject
 from repro.shard.mapping import ShardMap
@@ -373,6 +373,15 @@ class ShardedDatabase(ObjectDatabase):
         """
         try:
             return subquery_corners(subqueries, self._spatial_dims)
+        except IndexError_ as exc:
+            raise ShardError(str(exc)) from exc
+
+    def lower_regions(
+        self, low: np.ndarray, high: np.ndarray, w_min: float, w_max: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`lower` for ``(n, ndim)`` region stacks sharing one band."""
+        try:
+            return region_corners(low, high, w_min, w_max, self._spatial_dims)
         except IndexError_ as exc:
             raise ShardError(str(exc)) from exc
 

@@ -182,6 +182,26 @@ class TestArrayForms:
         with pytest.raises(GeometryError):
             grid.cell_centers(np.zeros(grid.ndim, dtype=int))
 
+    def test_cell_boxes_bit_equal_scalar(self, grid: Grid):
+        low, high = grid.cell_boxes(grid.cell_ids())
+        for cell, lo, hi in zip(grid.cells(), low, high):
+            box = grid.cell_box(cell)
+            assert lo.tobytes() == box.low.tobytes()
+            assert hi.tobytes() == box.high.tobytes()
+        none_low, none_high = grid.cell_boxes(np.empty((0, grid.ndim), dtype=int))
+        assert none_low.shape == none_high.shape == (0, grid.ndim)
+
+    def test_cell_boxes_rejects_what_cell_box_rejects(self, grid: Grid):
+        with pytest.raises(GeometryError):
+            grid.cell_boxes(np.zeros(grid.ndim, dtype=int))
+        with pytest.raises(GeometryError):
+            grid.cell_boxes(np.zeros((3, grid.ndim + 1), dtype=int))
+        for bad in ((-1,) + (0,) * (grid.ndim - 1), grid.shape):
+            with pytest.raises(GeometryError):
+                grid.cell_box(bad)
+            with pytest.raises(GeometryError):
+                grid.cell_boxes(np.asarray([(0,) * grid.ndim, bad]))
+
     def test_cells_within_is_the_rings_in_order(self, grid: Grid):
         corners = itertools.product(*[(0, s // 2, s - 1) for s in grid.shape])
         for home in corners:  # every corner, edge midpoint and the middle

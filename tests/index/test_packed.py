@@ -27,6 +27,7 @@ from repro.index.packed import (
     PackedIndex,
     PackedLevel,
     query_corner_box,
+    region_corners,
     subquery_corners,
 )
 from repro.index.rstar import RStarTree
@@ -356,6 +357,24 @@ def test_subquery_corners_match_query_corner_box(region_dims, spatial_dims):
     assert empty_low.shape == empty_high.shape == (0, spatial_dims + 1)
     with pytest.raises(IndexError_):
         subquery_corners([(subqueries[0][0], 0.6, 0.4)], spatial_dims)
+    # The array form, for region stacks sharing one band.
+    low = np.vstack([region.low for region, _, _ in subqueries])
+    high = np.vstack([region.high for region, _, _ in subqueries])
+    want_low, want_high = subquery_corners(
+        [(region, 0.25, 0.75) for region, _, _ in subqueries], spatial_dims
+    )
+    got_low, got_high = region_corners(low, high, 0.25, 0.75, spatial_dims)
+    assert got_low.tobytes() == want_low.tobytes()
+    assert got_high.tobytes() == want_high.tobytes()
+    assert got_low.shape == got_high.shape == (6, spatial_dims + 1)
+    assert region_corners(low[:0], high[:0], 0.0, 1.0, spatial_dims)[0].shape == (
+        0,
+        spatial_dims + 1,
+    )
+    with pytest.raises(IndexError_):
+        region_corners(low, high, 0.6, 0.4, spatial_dims)
+    with pytest.raises(IndexError_):
+        region_corners(low[:, :1], high[:, :1], 0.0, 1.0, spatial_dims)
 
 
 if HAVE_HYPOTHESIS:

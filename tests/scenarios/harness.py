@@ -14,6 +14,7 @@ is exactly the resilient-exchange time, which
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,3 +159,8 @@ def fingerprint(result: SystemRunResult) -> tuple:
         (key, tuple(value) if isinstance(value, list) else value)
         for key, value in sorted(data.items())
     )
+
+
+def result_digest(result) -> str:
+    """SHA-256 over every field of a run/fleet result dataclass."""
+    return hashlib.sha256(repr(dataclasses.asdict(result)).encode()).hexdigest()

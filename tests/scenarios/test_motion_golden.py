@@ -33,6 +33,8 @@ from repro.server.database import ObjectDatabase
 from repro.server.server import Server
 from repro.workloads.cityscape import CityConfig, build_city
 
+from tests.scenarios.harness import result_digest
+
 SPACE = Box((0.0, 0.0), (1000.0, 1000.0))
 #: Holds the whole city after two contacts (the ``tour_motion`` regime).
 BUFFER_BYTES = 16 * 1024
@@ -118,7 +120,7 @@ def fleet_digest(city: ObjectDatabase, clients: int) -> str:
         FleetConfig(space=SPACE, grid_shape=(10, 10), buffer_bytes=BUFFER_BYTES),
         system="motion",
     )
-    return hashlib.sha256(repr(dataclasses.asdict(result)).encode()).hexdigest()
+    return result_digest(result)
 
 
 @pytest.mark.parametrize("grid_shape, buffer_bytes", sorted(TOUR_DIGESTS))

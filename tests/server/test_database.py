@@ -97,13 +97,13 @@ class TestQueries:
 
     def test_block_bytes_zero_for_empty_cell(self, db: ObjectDatabase):
         grid = Grid(Box((0, 0), (1000, 1000)), (10, 10))
-        assert db.block_bytes(grid, (9, 9), 0.0) == 0
+        assert db.block_bytes_fn(grid)((9, 9), 0.0) == 0
 
     def test_block_bytes_monotone_in_resolution(self, db: ObjectDatabase):
         grid = Grid(Box((0, 0), (1000, 1000)), (10, 10))
         cell = grid.cell_of_point((100.0, 200.0))
-        full = db.block_bytes(grid, cell, 0.0)
-        coarse = db.block_bytes(grid, cell, 0.9)
+        full = db.block_bytes_fn(grid)(cell, 0.0)
+        coarse = db.block_bytes_fn(grid)(cell, 0.9)
         assert 0 < coarse <= full
 
     def test_block_bytes_fn_memoised(self, db: ObjectDatabase):
@@ -125,10 +125,10 @@ class TestQueries:
         second = Grid(Box((0.0, 0.0), (1000.0, 1000.0)), (10, 10))
         assert first is not second
         cell = first.cell_of_point((100.0, 200.0))
-        rows = db.block_rows(first, cell, 0.5)
+        rows = db.block_rows_fn(first)(cell, 0.5)
         method = db.access_method
         method.stats.push()
-        assert db.block_rows(second, cell, 0.5) is rows
+        assert db.block_rows_fn(second)(cell, 0.5) is rows
         assert method.stats.pop_delta().node_reads == 0
         assert len(db._block_cache) == 1
 
@@ -145,7 +145,7 @@ class TestQueries:
                 Grid(Box((0, 0), (500, 500)), (5, 5)),
             ):
                 want = db.query_region_rows(grid.cell_box(cell), 0.0, 1.0).rows
-                assert np.array_equal(db.block_rows(grid, cell, 0.0), want)
+                assert np.array_equal(db.block_rows_fn(grid)(cell, 0.0), want)
                 del grid  # frees the id for the next grid
         assert len(db._block_cache) == 3
         sizes = {len(rows) for rows in db._block_cache.values()}
@@ -154,9 +154,9 @@ class TestQueries:
     def test_block_cache_invalidated_on_add(self, db: ObjectDatabase):
         grid = Grid(Box((0, 0), (1000, 1000)), (10, 10))
         cell = grid.cell_of_point((700.0, 700.0))
-        assert db.block_bytes(grid, cell, 0.0) == 0
+        assert db.block_bytes_fn(grid)(cell, 0.0) == 0
         hierarchy = procedural_building(
             np.random.default_rng(2), center=(700.0, 700.0, 0.0), levels=1
         )
         db.add_object(5, analyze_hierarchy(hierarchy))
-        assert db.block_bytes(grid, cell, 0.0) > 0
+        assert db.block_bytes_fn(grid)(cell, 0.0) > 0

@@ -5,10 +5,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ProtocolError
+from repro.core.sessions import MotionAwareSessionPolicy
+from repro.core.system import SystemConfig
+from repro.errors import ProtocolError, ReproError
 from repro.geometry.box import Box
 from repro.net.messages import RegionRequest
+from repro.server.scene import SceneDatabase
 from repro.server.server import Server
+from repro.store.scene import SceneDelta
+from repro.store.uids import EMPTY_UIDS
+
+from tests.server.quote_reference import (
+    GRID,
+    SPACE,
+    assert_batch_matches_loop,
+    random_contact,
+    reference_quote_blocks,
+    scattered_blocks,
+    split_footprint,
+    stack,
+)
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - depends on the environment
+    HAVE_HYPOTHESIS = False
 
 
 def wide_region():
@@ -162,6 +186,155 @@ class TestQuoteCommit:
         payload2, _, _ = server.block_payload_bytes(7, wide_region(), 0.0, frozenset())
         # Second call re-ships records but not base connectivity.
         assert payload2 < payload1
+
+
+def moved_scene(city) -> SceneDatabase:
+    """A scene database one epoch on: object 0 moved across cells."""
+    db = SceneDatabase.from_objects(city.objects)
+    db.advance_epoch(
+        SceneDelta(
+            move_ids=np.asarray([0], dtype=np.int64),
+            move_offsets=np.asarray([(60.0, -40.0, 0.0)]),
+        )
+    )
+    return db
+
+
+#: Every backend ``quote_blocks`` must price identically to the loop on:
+#: the batched walk (static and dynamic packed index) and the serial
+#: fallbacks (frame-delta planning, non-packed access methods).
+BACKENDS = {
+    "packed": lambda city: lambda: Server(city),
+    "planner": lambda city: lambda: Server(city, plan_deltas=True),
+    "object_tree": lambda city: (
+        lambda db=city.with_access_method("motion_aware"): Server(db)
+    ),
+    "columnar": lambda city: (
+        lambda db=city.with_access_method("columnar"): Server(db)
+    ),
+    "scene_after_epoch": lambda city: (
+        lambda db=moved_scene(city): Server(db)
+    ),
+}
+
+
+@pytest.fixture(params=sorted(BACKENDS))
+def make_server(request, tiny_city):
+    return BACKENDS[request.param](tiny_city)
+
+
+class TestQuoteBlocks:
+    """``quote_blocks`` against the per-block loop it replaced."""
+
+    def test_whole_grid_in_scattered_order(self, make_server):
+        quotes = assert_batch_matches_loop(make_server, scattered_blocks())
+        sizes = [len(q.new_uids) for q in quotes]
+        assert sizes.count(0) > 300 and sum(sizes) == len(
+            make_server().database.store
+        )
+
+    def test_straddling_support_and_shared_base(self, make_server):
+        server = make_server()
+        left, right = split_footprint(server, 2)
+        both = [
+            set(server.database.query_region_rows(half, 0.0, 1.0).rows.tolist())
+            for half in (left, right)
+        ]
+        store = server.database.store
+        bases = [
+            {int(store.object_ids[r]) for r in rows if store.levels[r] == -1}
+            for rows in both
+        ]
+        assert both[0] & both[1] and 2 in bases[0] & bases[1]
+        for regions in ([left, right], [right, left], [left, left]):
+            first, second = assert_batch_matches_loop(make_server, regions)
+            # The shared rows and the shared mesh go with the first block.
+            assert 2 in first.new_base_ids and not second.new_base_ids
+            assert first.new_uids.isdisjoint(second.new_uids)
+
+    def test_delivered_uids_and_assumed_bases(self, make_server):
+        server = make_server()
+        regions = scattered_blocks()[::2]
+        delivered = server.database.store.uid_set(
+            np.arange(0, len(server.database.store), 3)
+        )
+        quotes = assert_batch_matches_loop(
+            make_server, regions, 0.0, delivered, frozenset({1, 4})
+        )
+        assert all(q.new_uids.isdisjoint(delivered) for q in quotes)
+        assert not any({1, 4} & q.new_base_ids for q in quotes)
+        # Legacy frozenset-of-triples excludes coerce like UidSets.
+        assert_batch_matches_loop(
+            make_server, regions[:40], 0.5, frozenset(list(delivered)[:50])
+        )
+
+    def test_bases_already_committed(self, make_server):
+        regions = scattered_blocks()
+
+        def ship_the_first_third(server: Server) -> None:
+            quotes, _, _ = server.quote_blocks(
+                3, stack(regions[: len(regions) // 3]), 0.0, None
+            )
+            for quote in quotes:
+                server.commit_quote(quote)
+            assert server._shipped_bases[3]
+
+        assert_batch_matches_loop(
+            make_server, regions, prepare=ship_the_first_third
+        )
+
+    def test_no_blocks_and_one_block(self, make_server, tiny_city):
+        server = make_server()
+        delivered = tiny_city.store.uid_set(np.arange(5))
+        assert server.quote_blocks(
+            1, stack([]), 0.0, delivered, assume_shipped_bases=frozenset({2})
+        ) == ([], delivered, frozenset({2}))
+        policy = MotionAwareSessionPolicy(
+            server, SystemConfig(space=SPACE, grid_shape=GRID.shape)
+        )
+        assert policy.quote_cells((), 0.0, EMPTY_UIDS, frozenset()) == (
+            [],
+            EMPTY_UIDS,
+            frozenset(),
+        )
+        cells = ((2, 18), (2, 19), (3, 8))
+        want = reference_quote_blocks(
+            make_server(), 0, [GRID.cell_box(c) for c in cells], 0.0, None
+        )
+        assert policy.quote_cells(cells, 0.0, EMPTY_UIDS, frozenset()) == want
+        # A one-cell list takes quote_block, with the same chaining.
+        assert policy.quote_cells(cells[:1], 0.0, EMPTY_UIDS, frozenset({7})) == (
+            want[0][:1],
+            want[0][0].new_uids,
+            want[0][0].new_base_ids | {7},
+        )
+        # quote_block is the batch of one.
+        region = GRID.cell_box((2, 18))
+        assert make_server().quote_block(0, region, 0.0, None) == want[0][0]
+
+    def test_inverted_band_raises_what_the_loop_raises(self, make_server):
+        regions = scattered_blocks()[:4]
+        with pytest.raises(ReproError) as loop_error:
+            reference_quote_blocks(make_server(), 3, regions, 1.5, None)
+        with pytest.raises(ReproError) as batch_error:
+            make_server().quote_blocks(3, stack(regions), 1.5, None)
+        assert type(batch_error.value) is type(loop_error.value)
+        assert str(batch_error.value) == str(loop_error.value)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_contacts_seeded(self, make_server, tiny_city, seed):
+        rng = np.random.default_rng(seed)
+        assert_batch_matches_loop(make_server, *random_contact(tiny_city, rng))
+
+    if HAVE_HYPOTHESIS:
+
+        @settings(max_examples=25, deadline=None)
+        @given(seed=st.integers(0, 2**32 - 1))
+        def test_random_contacts_hypothesis(self, tiny_city, seed):
+            rng = np.random.default_rng(seed)
+            assert_batch_matches_loop(
+                BACKENDS["packed"](tiny_city), *random_contact(tiny_city, rng)
+            )
 
 
 class TestBoundedClientState:

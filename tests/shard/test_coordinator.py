@@ -10,14 +10,27 @@ their own shapes); at ``S == 1`` even those match.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.errors import ShardError
+from repro.errors import ReproError, ShardError
 from repro.geometry.box import Box
 from repro.net.messages import RegionRequest, RetrieveRequest
 from repro.server.server import Server
-from repro.shard import ShardCoordinator, ShardedDatabase
+from repro.server.scene import SceneDatabase
+from repro.shard import ShardCoordinator, ShardedDatabase, ShardMap
+from repro.shard.scene import ShardedSceneDatabase
+from repro.store.scene import SceneDelta
 from repro.store.uids import EMPTY_UIDS, UidSet
+
+from tests.server.quote_reference import (
+    assert_batch_matches_loop,
+    random_contact,
+    reference_quote_blocks,
+    scattered_blocks,
+    split_footprint,
+    stack,
+)
 
 
 def make_request(client_id, t, regions, exclude=None):
@@ -204,6 +217,106 @@ class TestShardAwarePlanning:
                 for shard, planner in coordinator.shard_planners.items()
             }
             assert any(after[s] > before.get(s, 0) for s in after)
+
+
+class TestQuoteBlocks:
+    """``ShardCoordinator.quote_blocks`` (one scatter per block list)
+    against the per-block loop, and against the unsharded server."""
+
+    @pytest.fixture(params=[1, 2, 4])
+    def sharded(self, request, shard_city):
+        with ShardedDatabase.from_database(shard_city, request.param) as db:
+            yield db
+
+    @pytest.mark.parametrize("plan_deltas", [False, True])
+    def test_matches_the_loop(self, sharded, shard_city, plan_deltas):
+        def make_server():
+            return ShardCoordinator(sharded, plan_deltas=plan_deltas)
+
+        regions = scattered_blocks()
+        delivered = shard_city.store.uid_set(
+            np.arange(0, len(shard_city.store), 3)
+        )
+        got = assert_batch_matches_loop(
+            make_server, regions, 0.0, delivered, frozenset({1, 4})
+        )
+        # Any shard count prices what the monolithic index prices; one
+        # shard also bills the same node reads (cold planning only).
+        want, _, _ = Server(shard_city).quote_blocks(
+            3, stack(regions), 0.0, delivered, assume_shipped_bases=frozenset({1, 4})
+        )
+        for mine, theirs in zip(got, want):
+            assert mine.payload_bytes == theirs.payload_bytes
+            assert mine.new_uids == theirs.new_uids
+            assert mine.new_base_ids == theirs.new_base_ids
+            if sharded.shard_count == 1 and not plan_deltas:
+                assert mine.io_node_reads == theirs.io_node_reads
+        assert sum(len(q.new_uids) for q in got) > 0
+        assert sum(1 for q in got if not q.new_uids) > 0
+
+    def test_shared_base_committed_bases_and_random_contacts(
+        self, sharded, shard_city
+    ):
+        def make_server():
+            return ShardCoordinator(sharded)
+
+        halves = split_footprint(make_server(), 5)
+        first, second = assert_batch_matches_loop(make_server, halves)
+        assert 5 in first.new_base_ids and not second.new_base_ids
+
+        def ship_one_half(server):
+            server.commit_quote(server.quote_block(3, halves[1], 0.0, None))
+
+        assert_batch_matches_loop(
+            make_server, scattered_blocks()[::3], prepare=ship_one_half
+        )
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            assert_batch_matches_loop(
+                make_server, *random_contact(shard_city, rng)
+            )
+        assert make_server().quote_blocks(3, stack([]), 0.0, None) == (
+            [],
+            EMPTY_UIDS,
+            frozenset(),
+        )
+
+    def test_inverted_band_raises_what_the_loop_raises(self, sharded):
+        regions = scattered_blocks()[:4]
+        for plan_deltas in (False, True):
+            with pytest.raises(ReproError) as loop_error:
+                reference_quote_blocks(
+                    ShardCoordinator(sharded, plan_deltas=plan_deltas),
+                    3, regions, 1.5, None,
+                )
+            with pytest.raises(ReproError) as batch_error:
+                ShardCoordinator(sharded, plan_deltas=plan_deltas).quote_blocks(
+                    3, stack(regions), 1.5, None
+                )
+            assert type(batch_error.value) is type(loop_error.value)
+            assert str(batch_error.value) == str(loop_error.value)
+            if not plan_deltas:
+                assert type(batch_error.value) is ShardError
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_sharded_scene_after_advance_epoch(self, shard_city, shards):
+        source = SceneDatabase.from_objects(shard_city.objects)
+        shard_map = ShardMap.build(
+            [obj.footprint for obj in source.objects], shards
+        )
+        with ShardedSceneDatabase(source, shard_map) as db:
+            coordinator = ShardCoordinator(db)
+            coordinator.advance_epoch(
+                SceneDelta(
+                    move_ids=np.asarray([0, 7], dtype=np.int64),
+                    move_offsets=np.asarray(
+                        [(60.0, -40.0, 0.0), (-35.0, 20.0, 0.0)]
+                    ),
+                )
+            )
+            assert_batch_matches_loop(
+                lambda: ShardCoordinator(db), scattered_blocks()
+            )
 
 
 class TestWireLevel:

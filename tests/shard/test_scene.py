@@ -103,11 +103,11 @@ def test_epoch_advance_drops_the_block_memo(shard_city, shards):
     def rows_uids(rows):
         return db.store.packed_uids[rows]
 
-    before = rows_uids(db.block_rows(Grid(WINDOW, (10, 10)), cell, 0.0))
+    before = rows_uids(db.block_rows_fn(Grid(WINDOW, (10, 10)))(cell, 0.0))
     assert before.size
     db.advance_epoch(rush_hour_deltas(ids[:1], amplitude=400.0, seed=1)(0))
     grid = Grid(WINDOW, (10, 10))  # an equal grid: same memo key as before
-    after = rows_uids(db.block_rows(grid, cell, 0.0))
+    after = rows_uids(db.block_rows_fn(grid)(cell, 0.0))
     fresh = rows_uids(db.query_region_rows(grid.cell_box(cell), 0.0, 1.0).rows)
     assert np.array_equal(after, fresh)
     assert not np.array_equal(after, before)
