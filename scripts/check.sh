@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # One-shot correctness gate: reprolint (per-file + whole-program),
-# ruff, mypy, and the tier-1 tests.
+# ruff, mypy, and the tier-1 tests (with the repro.net + repro.core
+# coverage gate under --strict).
 #
 # Default mode tolerates the offline image: when ruff or mypy is not
 # installed it is reported as skipped, never silently passed.  CI runs
@@ -89,4 +90,11 @@ else
 fi
 
 echo "== pytest (tier-1) =="
-python -m pytest -x -q
+if [ "$STRICT" -eq 1 ]; then
+    # CI runs the suite once: the coverage gate rides on this pass.
+    python -m pytest -x -q \
+        --cov=repro.net --cov=repro.core \
+        --cov-report=term-missing --cov-fail-under=80
+else
+    python -m pytest -x -q
+fi

@@ -60,6 +60,7 @@ from repro.sim.streams import (
     LINK_LOSS_STREAM,
     derive_rng,
 )
+from repro.store.uids import sorted_unique
 
 __all__ = [
     "FleetConfig",
@@ -249,7 +250,7 @@ class FleetTick:
             raise ConfigurationError(
                 f"tick columns disagree on client count {count}"
             )
-        if count and np.unique(self.client_ids).size != count:
+        if count and sorted_unique(self.client_ids).size != count:
             raise ConfigurationError(
                 "tick client ids must be unique (one query per client)"
             )

@@ -28,6 +28,7 @@ from repro.geometry.box import Box
 from repro.index.access import AccessResult
 from repro.index.stats import IOStats
 from repro.store.columns import CoefficientStore
+from repro.store.uids import sorted_unique
 
 __all__ = ["RowResult", "ColumnarAccessMethod", "PAGE_BYTES"]
 
@@ -78,7 +79,7 @@ class ColumnarAccessMethod:
         return len(self._store)
 
     def _charge_io(self, rows: np.ndarray) -> None:
-        pages = int(np.unique(rows // self._rows_per_page).size)
+        pages = int(sorted_unique(rows // self._rows_per_page).size)
         self.stats.record_node(is_leaf=False, entries=len(self._store))
         for _ in range(pages):
             self.stats.record_node(is_leaf=True, entries=self._rows_per_page)

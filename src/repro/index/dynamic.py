@@ -66,7 +66,7 @@ from repro.index.rtree import DEFAULT_NODE_CAPACITY
 from repro.index.stats import IOStats
 from repro.store.columns import CoefficientStore
 from repro.store.scene import FootprintDelta
-from repro.store.uids import uid_span
+from repro.store.uids import sorted_unique, uid_span
 
 __all__ = [
     "GridSpec",
@@ -341,7 +341,7 @@ class DynamicPackedIndex:
             node_start = np.arange(
                 0, count + cap, cap, dtype=np.int64
             ).clip(max=count)
-            node_start = np.unique(node_start)
+            node_start = sorted_unique(node_start)
             levels.append(self._frozen_level(up_low, up_high, node_start))
         levels.reverse()
         self._packed = PackedIndex(
@@ -401,7 +401,7 @@ class DynamicPackedIndex:
         ins_cells = self._grid.cells_for(
             store.support_low[ins, :d], store.support_high[ins, :d]
         )
-        dirty = np.unique(np.concatenate([self._cells[ch_old], ins_cells]))
+        dirty = sorted_unique(np.concatenate([self._cells[ch_old], ins_cells]))
         if dirty.size > self._drift_budget * max(self._occupied, 1):
             self.rebuilds += 1
             self._load(store)

@@ -16,7 +16,7 @@ from repro.errors import ProtocolError
 from repro.geometry.box import Box
 from repro.mesh.trimesh import TriMesh
 from repro.store.columns import CoefficientStore
-from repro.store.uids import EMPTY_UIDS, UidSet, unpack_uid_arrays
+from repro.store.uids import EMPTY_UIDS, UidSet, sorted_isin, unpack_uid_arrays
 from repro.wavelets.coefficients import CoefficientRecord
 
 __all__ = [
@@ -321,11 +321,5 @@ class InvalidationFrame:
 
     def mask_uids(self, packed: np.ndarray) -> np.ndarray:
         """Boolean mask of packed uids belonging to a changed object."""
-        keys = np.asarray(packed, dtype=np.int64)
-        if self.changed_ids.size == 0:
-            return np.zeros(keys.shape, dtype=bool)
-        object_ids, _, _ = unpack_uid_arrays(keys)
-        changed = np.sort(self.changed_ids)
-        pos = np.searchsorted(changed, object_ids)
-        pos = np.minimum(pos, changed.size - 1)
-        return np.asarray(changed[pos] == object_ids)
+        object_ids, _, _ = unpack_uid_arrays(packed)
+        return sorted_isin(object_ids, np.sort(self.changed_ids))

@@ -45,6 +45,7 @@ from repro.server.server import DEFAULT_MAX_CLIENTS, Server
 from repro.shard.database import ShardedDatabase
 from repro.store.columns import CoefficientStore
 from repro.store.scene import FootprintDelta
+from repro.store.uids import sorted_unique
 
 __all__ = ["ShardCoordinator", "FleetShipping", "FleetTickResult"]
 
@@ -74,9 +75,7 @@ class FleetShipping:
                 f"shipping table needs >= 1 client, got {client_count}"
             )
         self._object_ids = np.asarray(object_ids, dtype=np.int64)
-        if self._object_ids.size == 0 or np.unique(
-            self._object_ids
-        ).size != self._object_ids.size or bool(
+        if self._object_ids.size == 0 or bool(
             (np.diff(self._object_ids) <= 0).any()
         ):
             raise ShardError(
@@ -395,7 +394,7 @@ class ShardCoordinator(Server):
         base_mask = store.levels[rows] == -1
         base_qid = qid[base_mask]
         base_cols = shipping.object_index(store.object_ids[rows[base_mask]])
-        pair_keys = np.unique(base_qid * shipping.object_count + base_cols)
+        pair_keys = sorted_unique(base_qid * shipping.object_count + base_cols)
         pair_qid = pair_keys // shipping.object_count
         pair_cols = pair_keys % shipping.object_count
         pair_clients = tick.client_ids[pair_qid]

@@ -62,6 +62,7 @@ from repro.shard.parallel import (
     measure_batch_overhead,
 )
 from repro.shard.shm import SharedMemoryShardExecutor
+from repro.store.uids import sorted_unique
 from repro.wavelets.analysis import WaveletDecomposition
 
 __all__ = ["ShardedDatabase", "ExecutorSpec", "FlatGather"]
@@ -310,7 +311,7 @@ class ShardedDatabase(ObjectDatabase):
                 f"shard {shard} out of range [0, {self.shard_count})"
             )
         objects = self.objects
-        return np.unique(
+        return sorted_unique(
             np.fromiter(
                 (
                     objects[int(i)].object_id

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.errors import ShardError
 from repro.geometry.box import Box
+from repro.store.uids import sorted_unique
 
 __all__ = ["ShardMap", "TILINGS"]
 
@@ -78,7 +79,7 @@ class ShardMap:
             )
         if shard_of.size and (
             int(shard_of.min()) < 0
-            or np.unique(shard_of).size != int(shard_of.max()) + 1
+            or sorted_unique(shard_of).size != int(shard_of.max()) + 1
         ):
             raise ShardError("shard ids must be dense 0..S-1")
 

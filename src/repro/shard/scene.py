@@ -46,23 +46,24 @@ from repro.shard.mapping import ShardMap
 from repro.shard.parallel import SerialShardExecutor, ShardSlice
 from repro.store.columns import CoefficientStore
 from repro.store.scene import FootprintDelta, SceneDelta
+from repro.store.uids import sorted_isin, sorted_unique
 from repro.wavelets.analysis import WaveletDecomposition
 
 __all__ = ["ShardedSceneDatabase"]
 
 
 def _restrict_delta(delta: SceneDelta, member_ids: np.ndarray) -> SceneDelta:
-    """The delta as one shard sees it: member objects' changes only."""
-    keep_moves = np.isin(delta.move_ids, member_ids)
+    """The delta as one shard sees it (``member_ids`` ascending)."""
+    keep_moves = sorted_isin(delta.move_ids, member_ids)
     return SceneDelta(
         add_rows=delta.add_rows[
-            np.isin(delta.add_rows["object_id"], member_ids)
+            sorted_isin(delta.add_rows["object_id"], member_ids)
         ],
-        remove_ids=delta.remove_ids[np.isin(delta.remove_ids, member_ids)],
+        remove_ids=delta.remove_ids[sorted_isin(delta.remove_ids, member_ids)],
         move_ids=delta.move_ids[keep_moves],
         move_offsets=delta.move_offsets[keep_moves],
         remesh_rows=delta.remesh_rows[
-            np.isin(delta.remesh_rows["object_id"], member_ids)
+            sorted_isin(delta.remesh_rows["object_id"], member_ids)
         ],
     )
 
@@ -175,8 +176,7 @@ class ShardedSceneDatabase(ShardedDatabase):
         has no owning shard.
         """
         owned = any(
-            bool(np.isin(object_id, members).item())
-            for members in self._member_ids
+            bool(sorted_isin(object_id, members)) for members in self._member_ids
         )
         if not owned:
             raise ShardError(
@@ -187,8 +187,9 @@ class ShardedSceneDatabase(ShardedDatabase):
 
     def advance_epoch(self, delta: SceneDelta) -> FootprintDelta:
         """Step the global scene and every slice one epoch, in lockstep."""
-        all_members = np.concatenate(self._member_ids)
-        new_ids = np.setdiff1d(delta.add_rows["object_id"], all_members)
+        all_members = sorted_unique(np.concatenate(self._member_ids))
+        add_ids = sorted_unique(delta.add_rows["object_id"])
+        new_ids = add_ids[~sorted_isin(add_ids, all_members)]
         if new_ids.size:
             raise ShardError(
                 f"delta adds unowned objects {new_ids.tolist()}; shard "

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import StoreError
 from repro.geometry.box import Box
-from repro.store.uids import UidSet, pack_uid, pack_uid_arrays
+from repro.store.uids import UidSet, pack_uid, pack_uid_arrays, sorted_unique
 from repro.wavelets.coefficients import (
     CoefficientKey,
     CoefficientKind,
@@ -370,5 +370,5 @@ class CoefficientStore:
         return tuple(self.record(int(row)) for row in np.asarray(rows))
 
     def __repr__(self) -> str:
-        objects = int(np.unique(self._data["object_id"]).size) if len(self) else 0
+        objects = int(sorted_unique(self._data["object_id"]).size)
         return f"CoefficientStore({len(self)} rows, {objects} objects)"

@@ -44,7 +44,12 @@ import numpy as np
 from repro.errors import StoreError
 from repro.geometry.box import Box
 from repro.store.columns import COEFF_DTYPE, CoefficientStore
-from repro.store.uids import pack_uid_arrays, unpack_uid_arrays
+from repro.store.uids import (
+    pack_uid_arrays,
+    sorted_isin,
+    sorted_unique,
+    unpack_uid_arrays,
+)
 
 __all__ = ["SceneDelta", "FootprintDelta", "SceneStore"]
 
@@ -106,11 +111,11 @@ class SceneDelta:
             )
         for name in ("remove_ids", "move_ids"):
             ids = getattr(self, name)
-            if ids.size and np.unique(ids).size != ids.size:
+            if sorted_unique(ids).size != ids.size:
                 raise StoreError(f"duplicate object id in {name}")
         moved = set(int(i) for i in self.move_ids)
         removed = set(int(i) for i in self.remove_ids)
-        remeshed = set(int(i) for i in np.unique(self.remesh_rows["object_id"]))
+        remeshed = set(sorted_unique(self.remesh_rows["object_id"]).tolist())
         if moved & removed:
             raise StoreError("an object cannot be both moved and removed")
         if moved & remeshed:
@@ -133,7 +138,7 @@ class SceneDelta:
     @property
     def touched_ids(self) -> np.ndarray:
         """Sorted unique object ids named by any operation."""
-        return np.unique(
+        return sorted_unique(
             np.concatenate(
                 [
                     self.add_rows["object_id"],
@@ -141,7 +146,7 @@ class SceneDelta:
                     self.move_ids,
                     self.remesh_rows["object_id"],
                 ]
-            ).astype(np.int64)
+            )
         )
 
 
@@ -182,13 +187,8 @@ class FootprintDelta:
 
     def mask_uids(self, packed: np.ndarray) -> np.ndarray:
         """Boolean mask of packed uids belonging to a changed object."""
-        keys = np.asarray(packed, dtype=np.int64)
-        if self.changed_ids.size == 0:
-            return np.zeros(keys.shape, dtype=bool)
-        object_ids, _, _ = unpack_uid_arrays(keys)
-        pos = np.searchsorted(self.changed_ids, object_ids)
-        pos = np.minimum(pos, self.changed_ids.size - 1)
-        return self.changed_ids[pos] == object_ids
+        object_ids, _, _ = unpack_uid_arrays(packed)
+        return sorted_isin(object_ids, self.changed_ids)
 
     def intersects(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """Which of the (n, d) query boxes touch any dirty region.
@@ -212,8 +212,7 @@ class FootprintDelta:
 
     def restricted(self, object_ids: np.ndarray) -> "FootprintDelta":
         """The delta as seen by a shard owning ``object_ids`` only."""
-        members = np.asarray(object_ids, dtype=np.int64)
-        keep = np.isin(self.changed_ids, members)
+        keep = sorted_isin(self.changed_ids, sorted_unique(object_ids))
         return FootprintDelta(
             epoch=self.epoch,
             changed_ids=self.changed_ids[keep],
@@ -300,16 +299,13 @@ class SceneStore:
         """Advance one epoch; returns the footprint change summary."""
         prev = self._views[-1]
         data = prev.data
-        present = np.unique(data["object_id"]) if data.size else _as_ids(None)
+        present = sorted_unique(data["object_id"])
         self._validate_against(present, delta)
 
-        drop_ids = np.union1d(
-            delta.remove_ids, np.unique(delta.remesh_rows["object_id"])
-        ).astype(np.int64)
-        keep = np.ones(data.size, dtype=bool)
-        if drop_ids.size and data.size:
-            keep = ~np.isin(data["object_id"], drop_ids)
-        kept = data[keep].copy()
+        drop_ids = sorted_unique(
+            np.concatenate([delta.remove_ids, delta.remesh_rows["object_id"]])
+        )
+        kept = data[~sorted_isin(data["object_id"], drop_ids)]
 
         if delta.move_ids.size and kept.size:
             order = np.argsort(delta.move_ids, kind="stable")
@@ -330,9 +326,11 @@ class SceneStore:
 
         fresh = np.concatenate([kept, delta.remesh_rows, delta.add_rows])
         uids = pack_uid_arrays(fresh["object_id"], fresh["level"], fresh["index"])
-        if uids.size and np.unique(uids).size != uids.size:
+        order = np.argsort(uids)
+        ranked = uids[order]
+        if bool((ranked[1:] == ranked[:-1]).any()):
             raise StoreError("delta application produced duplicate uids")
-        view = CoefficientStore(np.ascontiguousarray(fresh[np.argsort(uids)]))
+        view = CoefficientStore(np.ascontiguousarray(fresh[order]))
 
         footprint = self._footprint(
             len(self._views), prev.data, view.data, delta
@@ -344,25 +342,24 @@ class SceneStore:
 
     @staticmethod
     def _validate_against(present: np.ndarray, delta: SceneDelta) -> None:
-        for name in ("remove_ids", "move_ids"):
-            ids = getattr(delta, name)
-            missing = np.setdiff1d(ids, present)
+        for name, ids in (
+            ("remove_ids", delta.remove_ids),
+            ("move_ids", delta.move_ids),
+            ("re-mesh", delta.remesh_rows["object_id"]),
+        ):
+            ids = sorted_unique(ids)
+            missing = ids[~sorted_isin(ids, present)]
             if missing.size:
                 raise StoreError(
                     f"{name} names absent objects {missing.tolist()}"
                 )
-        remesh_ids = np.unique(delta.remesh_rows["object_id"])
-        missing = np.setdiff1d(remesh_ids, present)
-        if missing.size:
-            raise StoreError(
-                f"re-mesh names absent objects {missing.tolist()}"
-            )
-        add_ids = np.unique(delta.add_rows["object_id"])
+        add_ids = sorted_unique(delta.add_rows["object_id"])
         # Adding over a same-epoch removal re-creates the object; adding
         # over a still-present object would collide.
-        colliding = np.setdiff1d(
-            np.intersect1d(add_ids, present), delta.remove_ids
-        )
+        colliding = add_ids[
+            sorted_isin(add_ids, present)
+            & ~sorted_isin(add_ids, sorted_unique(delta.remove_ids))
+        ]
         if colliding.size:
             raise StoreError(
                 f"add_rows re-uses live object ids {colliding.tolist()}"
@@ -421,10 +418,10 @@ class SceneStore:
 def _canonical_store(store: CoefficientStore) -> CoefficientStore:
     """Reorder a store's rows into ascending packed-uid order."""
     uids = store.packed_uids
-    if uids.size and np.unique(uids).size != uids.size:
-        raise StoreError("scene seed store contains duplicate uids")
-    if uids.size == 0 or bool(np.all(uids[:-1] <= uids[1:])):
+    if uids.size < 2 or bool((uids[1:] > uids[:-1]).all()):
         return store
-    return CoefficientStore(
-        np.ascontiguousarray(store.data[np.argsort(uids)])
-    )
+    order = np.argsort(uids)
+    ranked = uids[order]
+    if bool((ranked[1:] == ranked[:-1]).any()):
+        raise StoreError("scene seed store contains duplicate uids")
+    return CoefficientStore(np.ascontiguousarray(store.data[order]))

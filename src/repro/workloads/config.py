@@ -115,12 +115,11 @@ class ExperimentScale:
         return LinkConfig()
 
     def buffer_bytes(self, kb: int) -> int:
-        """A Fig.-10 buffer size, scaled to our dataset density.
+        """A Fig.-10 buffer size in bytes: exactly ``kb * 1024``.
 
-        The paper's buffer-to-block ratio is what matters; our scaled
-        blocks are smaller than the paper's, so buffers scale down by
-        the same factor to keep the ratio (16 KB paper ~ 16 KB here at
-        scale 1 with depth-3 objects).
+        Not scaled to the dataset's density or to ``scale``: a buffer
+        of the paper's size may hold a whole scaled-down city.
+        Reporting that regime and fixing it is ROADMAP item 2(c).
         """
         if kb <= 0:
             raise ConfigurationError(f"buffer KB must be positive, got {kb}")

@@ -30,6 +30,7 @@ from repro.mesh.generators import procedural_building
 from repro.server.scene import SceneDatabase
 from repro.sim.streams import derive_rng
 from repro.store.scene import SceneDelta
+from repro.store.uids import sorted_unique
 from repro.wavelets.analysis import analyze_hierarchy
 from repro.workloads.cityscape import CityConfig, populate_city
 
@@ -71,7 +72,7 @@ def rush_hour_deltas(
     ``amplitude`` along it and epoch ``2k + 2`` moves it back, so after
     any even number of epochs every vehicle is exactly where it parked.
     """
-    ids = np.unique(np.asarray(object_ids, dtype=np.int64))
+    ids = sorted_unique(object_ids)
     if ids.size == 0:
         raise WorkloadError("rush hour needs at least one vehicle")
     if amplitude <= 0:

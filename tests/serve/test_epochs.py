@@ -9,6 +9,8 @@ re-fetches the changed objects' data -- and nothing else.
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,58 @@ class TestInvalidationPush:
                     object_ids, _, _ = unpack_uid_arrays(refetched)
                     assert set(object_ids.tolist()) == {moved}
                     assert np.array_equal(refetched, np.sort(stale))
+
+        run(body())
+
+    def test_pipelined_cache_equals_numpy_reference(self, scene_server):
+        # Overlapping pipelined windows, one invalidation, then another
+        # pipelined round: the delivered cache is the numpy set algebra
+        # of everything the responses carried.
+        windows = [
+            Box((0.0, 0.0), (600.0, 600.0)),
+            Box((300.0, 300.0), (1000.0, 1000.0)),
+            Box((0.0, 400.0), (700.0, 1000.0)),
+            Box((0.0, 0.0), (1000.0, 1000.0)),
+        ]
+
+        async def round_of(client, t0):
+            responses = await asyncio.gather(
+                *(
+                    client.retrieve_window(t0 + i, box, w_min)
+                    for i, (box, w_min) in enumerate(
+                        zip(windows, (0.0, 0.2, 0.05, 0.5))
+                    )
+                )
+            )
+            return np.concatenate(
+                [r.batch.uids.packed for r in responses]
+            )
+
+        async def body():
+            async with serving(scene_server) as service:
+                async with await ServeClient.connect(
+                    "127.0.0.1", service.port, client_id=3
+                ) as client:
+                    expected = np.unique(await round_of(client, 0.0))
+                    assert np.array_equal(
+                        client.delivered_uids.packed, expected
+                    )
+                    moved = int(scene_server.database.store.object_ids[1])
+                    frame = await service.advance_epoch(move_delta(moved))
+                    await client.ping()
+                    object_ids, _, _ = unpack_uid_arrays(expected)
+                    stale = np.isin(object_ids, frame.changed_ids)
+                    assert 0 < int(stale.sum()) < expected.size
+                    expected = expected[~stale]
+                    assert np.array_equal(
+                        client.delivered_uids.packed, expected
+                    )
+                    expected = np.union1d(
+                        expected, await round_of(client, 10.0)
+                    )
+                    assert np.array_equal(
+                        client.delivered_uids.packed, expected
+                    )
 
         run(body())
 
