@@ -143,29 +143,26 @@ def assert_deterministic(city, config) -> None:
     assert first.max_queue_delay_s == second.max_queue_delay_s
 
 
-def run_point_flat(
-    city, shards: int, clients: int, ticks_n: int, executor: str
-) -> dict:
+def run_point_flat(city, shards: int, clients: int, ticks_n: int) -> dict:
     """One flat-drive point: whole-fleet ticks plus the uplink drain."""
     ticks = make_flat_ticks(SPACE, clients, ticks_n, seed=7, query_frac=0.12)
     uplink_bps = PER_CLIENT_UPLINK_BPS * clients
     response_parts: list[np.ndarray] = []
     rows = payload = 0
     backlog = 0.0
-    with ShardedDatabase.from_database(city, shards, executor=executor) as db:
-        fleet = ShardCoordinator(db)
-        shipping = fleet.fleet_shipping(clients)
-        started = time.perf_counter()
-        for tick in ticks:
-            result = fleet.execute_fleet_tick(tick, shipping)
-            rows += result.total_rows
-            payload += result.total_payload_bytes
-            response_s, backlog = drain_uplink(
-                result.payload_bytes, uplink_bps, tick_seconds=1.0,
-                backlog_s=backlog,
-            )
-            response_parts.append(response_s)
-        wall_s = time.perf_counter() - started
+    fleet = ShardCoordinator(ShardedDatabase.from_database(city, shards))
+    shipping = fleet.fleet_shipping(clients)
+    started = time.perf_counter()
+    for tick in ticks:
+        result = fleet.execute_fleet_tick(tick, shipping)
+        rows += result.total_rows
+        payload += result.total_payload_bytes
+        response_s, backlog = drain_uplink(
+            result.payload_bytes, uplink_bps, tick_seconds=1.0,
+            backlog_s=backlog,
+        )
+        response_parts.append(response_s)
+    wall_s = time.perf_counter() - started
     responses = np.concatenate(response_parts)
     return {
         "clients": clients,
@@ -181,8 +178,8 @@ def run_point_flat(
 
 
 def assert_flat_deterministic(city, shards: int) -> None:
-    first = run_point_flat(city, shards, clients=64, ticks_n=3, executor="serial")
-    second = run_point_flat(city, shards, clients=64, ticks_n=3, executor="serial")
+    first = run_point_flat(city, shards, clients=64, ticks_n=3)
+    second = run_point_flat(city, shards, clients=64, ticks_n=3)
     for key in ("rows_per_tick", "payload_bytes_per_tick", "p95_response_s"):
         assert first[key] == second[key], (
             f"flat fleet drive is not deterministic ({key})"
@@ -193,7 +190,6 @@ def run_flat(
     smoke: bool,
     clients: list[int] | None = None,
     shards: int = 8,
-    executor: str = "serial",
 ) -> dict:
     """The flat-drive sweep: batched whole-fleet ticks at scale."""
     if smoke:
@@ -214,7 +210,7 @@ def run_flat(
     shards = min(shards, city_config.object_count)
     assert_flat_deterministic(city, shards)
     curve = [
-        run_point_flat(city, shards, count, ticks_n, executor)
+        run_point_flat(city, shards, count, ticks_n)
         for count in fleet_sizes
     ]
     return {
@@ -227,7 +223,6 @@ def run_flat(
             "per_client_uplink_bps": PER_CLIENT_UPLINK_BPS,
             "tick_seconds": 1.0,
             "shards": shards,
-            "executor": executor,
             "smoke": smoke,
         },
         "curve": curve,
@@ -316,18 +311,12 @@ def main() -> int:
         "--shards", type=int, default=8, metavar="N",
         help="shard count of the flat drive's scatter-gather",
     )
-    parser.add_argument(
-        "--executor", default="serial",
-        choices=("auto", "serial", "shm"),
-        help="shard executor of the flat drive",
-    )
     args = parser.parse_args()
     if args.check is not None and (args.drive != "system" or args.clients):
         parser.error("--check pins the built-in system-drive curves only")
     if args.drive == "flat":
         result = run_flat(
-            smoke=args.smoke, clients=args.clients, shards=args.shards,
-            executor=args.executor,
+            smoke=args.smoke, clients=args.clients, shards=args.shards
         )
     else:
         result = run(smoke=args.smoke, clients=args.clients)

@@ -154,8 +154,7 @@ def fleet_scatter():
     (tick,) = make_flat_ticks(FLEET_SPACE, 2000, 1, seed=7, query_frac=0.12)
     qlow = np.concatenate([tick.low, tick.w_min[:, None]], axis=1)
     qhigh = np.concatenate([tick.high, tick.w_max[:, None]], axis=1)
-    yield sharded, qlow, qhigh
-    sharded.close()
+    return sharded, qlow, qhigh
 
 
 def test_batch_walk_one_shard(benchmark, fleet_scatter):

@@ -237,17 +237,16 @@ async def shard_sweep(
     points = []
     tours = make_tours(SPACE, "tram", count=connections, speed=0.8, steps=steps)
     for count in shard_counts:
-        with ShardedDatabase.from_database(city, count) as sharded:
-            service = RetrieveService(
-                ShardCoordinator(sharded),
-                ServeConfig(max_connections=connections + 8),
-            )
-            await service.start()
-            try:
-                identical &= await check_shard_parity(service, Server(city))
-                point = await load_point(service, tours)
-            finally:
-                await service.shutdown()
+        service = RetrieveService(
+            ShardCoordinator(ShardedDatabase.from_database(city, count)),
+            ServeConfig(max_connections=connections + 8),
+        )
+        await service.start()
+        try:
+            identical &= await check_shard_parity(service, Server(city))
+            point = await load_point(service, tours)
+        finally:
+            await service.shutdown()
         points.append({"shards": count, **point})
     return {
         "counts": shard_counts,

@@ -4,20 +4,14 @@ Builds the default-scale cityscape, replays a fleet of moving-window
 retrieve requests against three server stacks, and reports:
 
 * ``scatter_gather`` -- the headline: the sharded coordinator
-  (``execute_many`` batching every sub-query per shard), in process and
-  over the shared-memory worker pool, against the single-process
-  unsharded per-request loop.  All three produce bit-identical
-  responses (rows, uid merge order, base shipping, filter counts); the
-  speedups come from (a) batching all sub-queries bound for a shard
-  into one shared frontier walk, (b) shard pruning skipping
-  non-intersecting slices, and -- pool only -- (c) process parallelism
-  across shards, which contributes whatever the machine's core count
-  allows; (a)+(b) alone already beat the baseline on one core.
-* ``shard_scaling`` -- in-process wall time per (shard count x client
-  count) combination: the scaling curve.
-* ``scatter_gather.shm_gather`` -- the zero-copy data plane's receipts:
-  how many bytes of result rows came back through shared-memory rings
-  as descriptors instead of pickled payloads (per gather).
+  (``execute_many`` batching every sub-query per shard) against the
+  single-process unsharded per-request loop.  Both produce
+  bit-identical responses (rows, uid merge order, base shipping,
+  filter counts); the speedup comes from (a) batching all sub-queries
+  bound for a shard into one shared frontier walk and (b) shard
+  pruning skipping non-intersecting slices.
+* ``shard_scaling`` -- wall time per (shard count x client count)
+  combination: the scaling curve.
 * ``shard_skew`` -- object/row balance of the headline tiling.
 * ``fleet_tick`` -- whole-fleet batched planning: one
   ``execute_fleet_tick`` per tick against the per-request loop over
@@ -51,12 +45,7 @@ from repro.core.fleet import make_flat_ticks
 from repro.geometry.box import Box
 from repro.net.messages import RegionRequest, RetrieveRequest
 from repro.server.server import Server
-from repro.shard import (
-    SerialShardExecutor,
-    SharedMemoryShardExecutor,
-    ShardCoordinator,
-    ShardedDatabase,
-)
+from repro.shard import ShardCoordinator, ShardedDatabase
 from repro.store.uids import UidSet
 from repro.workloads.cityscape import CityConfig, build_city
 
@@ -122,91 +111,58 @@ def time_baseline(city, requests) -> tuple[float, list[tuple]]:
     return time.perf_counter() - started, digest(responses)
 
 
-def time_sharded(city, requests, shards: int, executor) -> tuple[float, list[tuple]]:
-    with ShardedDatabase.from_database(city, shards, executor=executor) as db:
-        coordinator = ShardCoordinator(db)
-        coordinator.execute_many(requests[:1])  # warm pool / indexes
-        started = time.perf_counter()
-        responses = coordinator.execute_many(requests)
-        elapsed = time.perf_counter() - started
-        return elapsed, digest(responses)
-
-
-def time_sharded_shm(
-    city, requests, shards: int
-) -> tuple[float, list[tuple], dict]:
-    """Like :func:`time_sharded` over the shm executor, plus gather stats."""
-    with ShardedDatabase.from_database(city, shards, executor="shm") as db:
-        coordinator = ShardCoordinator(db)
-        coordinator.execute_many(requests[:1])  # warm pool / indexes
-        started = time.perf_counter()
-        responses = coordinator.execute_many(requests)
-        elapsed = time.perf_counter() - started
-        stats = db.executor.stats
-        gather = {
-            "gathers": stats.gathers,
-            "tasks": stats.tasks,
-            "shm_payload_bytes": stats.shm_payload_bytes,
-            "pickled_payload_bytes": stats.pickled_payload_bytes,
-            "fallback_tasks": stats.fallback_tasks,
-            "pickle_bytes_avoided": stats.pickle_bytes_avoided,
-            "pickle_bytes_avoided_per_gather": round(
-                stats.pickle_bytes_avoided_per_gather, 1
-            ),
-        }
-        return elapsed, digest(responses), gather
+def time_sharded(city, requests, shards: int) -> tuple[float, list[tuple]]:
+    coordinator = ShardCoordinator(ShardedDatabase.from_database(city, shards))
+    coordinator.execute_many(requests[:1])  # warm the indexes
+    started = time.perf_counter()
+    responses = coordinator.execute_many(requests)
+    return time.perf_counter() - started, digest(responses)
 
 
 def skew_section(city, shards: int) -> dict:
     """Shard balance of the headline tiling, in objects and store rows."""
-    with ShardedDatabase.from_database(city, shards) as db:
-        rows_of_object = np.fromiter(
-            (len(obj.store) for obj in city.objects),
-            dtype=np.int64,
-            count=city.object_count,
-        )
-        return db.shard_map.skew_stats(rows_of_object)
+    db = ShardedDatabase.from_database(city, shards)
+    rows_of_object = np.fromiter(
+        (len(obj.store) for obj in city.objects),
+        dtype=np.int64,
+        count=city.object_count,
+    )
+    return db.shard_map.skew_stats(rows_of_object)
 
 
 def fleet_parity(city, shards: int, clients: int, tick_count: int) -> bool:
     """Fleet-tick columns vs a per-request pass: rows, payload, bases, io."""
     ticks = make_flat_ticks(SPACE, clients, tick_count, seed=9, query_frac=0.2)
-    with ShardedDatabase.from_database(city, shards) as fleet_db, (
-        ShardedDatabase.from_database(city, shards)
-    ) as ref_db:
-        fleet = ShardCoordinator(fleet_db)
-        shipping = fleet.fleet_shipping(clients)
-        reference = ShardCoordinator(ref_db)
-        for tick in ticks:
-            result = fleet.execute_fleet_tick(tick, shipping)
-            for i, resp in enumerate(reference.execute_many(tick.to_requests())):
-                lo, hi = result.offsets[i], result.offsets[i + 1]
-                if not (
-                    np.array_equal(result.rows[lo:hi], resp.batch.rows)
-                    and int(result.payload_bytes[i]) == resp.payload_bytes
-                    and int(result.new_base_counts[i]) == len(resp.base_meshes)
-                    and int(result.io[i, 0]) == resp.io_node_reads
-                ):
-                    return False
+    fleet = ShardCoordinator(ShardedDatabase.from_database(city, shards))
+    shipping = fleet.fleet_shipping(clients)
+    reference = ShardCoordinator(ShardedDatabase.from_database(city, shards))
+    for tick in ticks:
+        result = fleet.execute_fleet_tick(tick, shipping)
+        for i, resp in enumerate(reference.execute_many(tick.to_requests())):
+            lo, hi = result.offsets[i], result.offsets[i + 1]
+            if not (
+                np.array_equal(result.rows[lo:hi], resp.batch.rows)
+                and int(result.payload_bytes[i]) == resp.payload_bytes
+                and int(result.new_base_counts[i]) == len(resp.base_meshes)
+                and int(result.io[i, 0]) == resp.io_node_reads
+            ):
+                return False
     return True
 
 
-def time_fleet_ticks(
-    city, shards: int, clients: int, tick_count: int, executor
-) -> dict:
+def time_fleet_ticks(city, shards: int, clients: int, tick_count: int) -> dict:
     """Mean wall time per whole-fleet tick through the batched path."""
     ticks = make_flat_ticks(SPACE, clients, tick_count, seed=9)
-    with ShardedDatabase.from_database(city, shards, executor=executor) as db:
-        fleet = ShardCoordinator(db)
-        shipping = fleet.fleet_shipping(clients)
-        fleet.execute_fleet_tick(ticks[0], fleet.fleet_shipping(clients))
-        rows = payload = 0
-        started = time.perf_counter()
-        for tick in ticks:
-            result = fleet.execute_fleet_tick(tick, shipping)
-            rows += result.total_rows
-            payload += result.total_payload_bytes
-        elapsed = time.perf_counter() - started
+    fleet = ShardCoordinator(ShardedDatabase.from_database(city, shards))
+    shipping = fleet.fleet_shipping(clients)
+    fleet.execute_fleet_tick(ticks[0], fleet.fleet_shipping(clients))
+    rows = payload = 0
+    started = time.perf_counter()
+    for tick in ticks:
+        result = fleet.execute_fleet_tick(tick, shipping)
+        rows += result.total_rows
+        payload += result.total_payload_bytes
+    elapsed = time.perf_counter() - started
     return {
         "clients": clients,
         "ticks": tick_count,
@@ -221,13 +177,15 @@ def time_fleet_per_request(
 ) -> float:
     """The same ticks through the per-request path, per tick."""
     ticks = make_flat_ticks(SPACE, clients, tick_count, seed=9)
-    with ShardedDatabase.from_database(city, shards) as db:
-        coordinator = ShardCoordinator(db, max_clients=max(clients, 1024))
-        coordinator.execute_many(ticks[0].to_requests())
-        started = time.perf_counter()
-        for tick in ticks:
-            coordinator.execute_many(tick.to_requests())
-        return (time.perf_counter() - started) / tick_count
+    coordinator = ShardCoordinator(
+        ShardedDatabase.from_database(city, shards),
+        max_clients=max(clients, 1024),
+    )
+    coordinator.execute_many(ticks[0].to_requests())
+    started = time.perf_counter()
+    for tick in ticks:
+        coordinator.execute_many(tick.to_requests())
+    return (time.perf_counter() - started) / tick_count
 
 
 def run(smoke: bool) -> dict:
@@ -249,37 +207,22 @@ def run(smoke: bool) -> dict:
     requests = make_requests(clients, ticks, seed=3)
 
     baseline_s, reference = time_baseline(city, requests)
-    serial_s, serial_digest = time_sharded(
-        city, requests, headline_shards, SerialShardExecutor()
-    )
-    shm_ok = SharedMemoryShardExecutor.available()
-    if shm_ok:
-        shm_s, shm_digest, shm_gather = time_sharded_shm(
-            city, requests, headline_shards
-        )
-    else:  # pragma: no cover - spawn is available everywhere
-        shm_s, shm_digest, shm_gather = serial_s, serial_digest, {}
-    identical = reference == serial_digest == shm_digest
+    serial_s, serial_digest = time_sharded(city, requests, headline_shards)
     scatter_gather = {
         "shards": headline_shards,
         "requests": len(requests),
         "subqueries": 2 * len(requests),
         "baseline_single_process_s": round(baseline_s, 4),
         "sharded_serial_s": round(serial_s, 4),
-        "sharded_shm_s": round(shm_s, 4),
         "batched_serial_speedup": round(baseline_s / serial_s, 2),
-        "shm_speedup": round(baseline_s / shm_s, 2),
-        "identical_responses": identical,
-        "shm_gather": shm_gather,
+        "identical_responses": reference == serial_digest,
     }
 
     curve = []
     for shards in shard_counts:
         for count in client_counts:
             tick_requests = make_requests(count, 1, seed=5)
-            serial_point_s, _ = time_sharded(
-                city, tick_requests, shards, SerialShardExecutor()
-            )
+            serial_point_s, _ = time_sharded(city, tick_requests, shards)
             curve.append(
                 {
                     "shards": shards,
@@ -297,13 +240,9 @@ def run(smoke: bool) -> dict:
     per_request_s = time_fleet_per_request(
         city, headline_shards, ratio_clients, tick_count
     )
-    batched = time_fleet_ticks(
-        city, headline_shards, ratio_clients, tick_count, SerialShardExecutor()
-    )
+    batched = time_fleet_ticks(city, headline_shards, ratio_clients, tick_count)
     sweep = [
-        time_fleet_ticks(
-            city, headline_shards, count, tick_count, SerialShardExecutor()
-        )
+        time_fleet_ticks(city, headline_shards, count, tick_count)
         for count in sweep_clients
     ]
     fleet_tick = {

@@ -35,9 +35,8 @@ DEFAULT_TOLERANCE = 0.5
 def iter_metrics(document: dict) -> list[tuple[str, str, object]]:
     """Flatten ``section.key`` leaves we gate on: speedups and flags.
 
-    Sections nest (``scatter_gather.shm_gather``,
-    ``fleet_tick.sweep[...]``): dict values recurse with dotted section
-    paths so a gated ratio can live at any depth.  Lists are skipped --
+    Sections nest: dict values recurse with dotted section paths
+    (``section.sub_section``) so a gated ratio can live at any depth.  Lists are skipped --
     scaling-curve points carry machine-specific absolute times, never
     gated ratios.
     """

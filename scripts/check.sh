@@ -59,6 +59,9 @@ missing_tool() {
 echo "== reprolint (whole-program) =="
 python -m repro.analysis --project src
 
+echo "== reprolint RL009 over tests (seeded RNG; fixtures allowed) =="
+python -m repro.analysis --select RL009 --project tests
+
 echo "== reprolint self-test (seeded fixture must fail) =="
 # The gate only means something if a real violation still trips it:
 # the committed fixture package carries known RL009 findings and the

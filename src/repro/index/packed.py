@@ -163,9 +163,9 @@ def corners_query_batch(
     ascending sub-query index (sub-query ``q`` owns the slice of length
     ``counts[q]``) and ``io`` is the ``(Q, 3)`` per-sub-query
     ``(node_reads, leaf_reads, entries_scanned)`` matrix -- three flat
-    arrays, no per-query Python objects.  Both shard executors run this
-    same function on the same arrays, which is what makes them
-    bit-identical by construction.
+    arrays, no per-query Python objects.  The shard executor runs this
+    same function on every slice's index, which is what keeps sharded
+    answers bit-identical to the unsharded walk by construction.
     """
     slots, slot_qid, io = packed.query_slots_many(qlow, qhigh)
     counts = np.bincount(slot_qid, minlength=len(io)).astype(

@@ -56,15 +56,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="spatial shard count; N > 1 serves scatter-gather over a "
         "sharded database (responses are wire-identical)",
     )
-    parser.add_argument(
-        "--executor", default="auto",
-        choices=("auto", "serial", "shm"),
-        help="shard executor: 'shm' scatters over a spawn-safe worker "
-        "pool sharing the shard indexes through named shared "
-        "memory (zero-copy gathers); 'auto' measures pool overhead "
-        "and falls back to in-process execution when scattering "
-        "cannot pay (responses are wire-identical either way)",
-    )
     return parser
 
 
@@ -81,9 +72,7 @@ def build_server(args: argparse.Namespace) -> Server:
         )
     )
     if args.shards > 1:
-        sharded = ShardedDatabase.from_database(
-            city, args.shards, executor=args.executor
-        )
+        sharded = ShardedDatabase.from_database(city, args.shards)
         return ShardCoordinator(sharded, plan_deltas=args.plan_deltas)
     return Server(city, plan_deltas=args.plan_deltas)
 

@@ -583,23 +583,6 @@ class Server:
         if quote.new_base_ids:
             self._client_bases(quote.client_id).update(quote.new_base_ids)
 
-    def block_payload_bytes(
-        self,
-        client_id: int,
-        region: Box,
-        w_min: float,
-        exclude_uids: UidSet | Iterable[tuple[int, int, int]] | None,
-    ) -> tuple[int, int, UidSet]:
-        """Quote one block and commit it immediately.
-
-        Returns ``(payload_bytes, io_node_reads, new_uids)``.  Kept for
-        callers on a reliable link; the fault-aware systems quote first
-        and commit only after the wire transfer succeeds.
-        """
-        quote = self.quote_block(client_id, region, w_min, exclude_uids)
-        self.commit_quote(quote)
-        return (quote.payload_bytes, quote.io_node_reads, quote.new_uids)
-
     # -- base-mesh shipping ----------------------------------------------------
 
     def _base_payloads_rows(

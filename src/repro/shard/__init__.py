@@ -3,10 +3,10 @@
 Splits the cityscape into spatial shards -- each with its own
 coefficient-store slice and packed index -- and answers retrieve
 requests coordinator-style: plan the ``(box, w-band)`` query against
-the shard map, scatter batched sub-queries to the intersecting
-shards (in process or on a shared-memory worker pool), and gather with
-the server's canonical uid merge so responses stay bit-identical to
-the single-index path.  See DESIGN.md section 13.
+the shard map, scatter one batched task to each intersecting shard
+(in process, one shard after another), and gather with the server's
+canonical uid merge so responses stay bit-identical to the
+single-index path.  See DESIGN.md section 13.
 """
 
 from __future__ import annotations
@@ -16,17 +16,15 @@ from repro.shard.coordinator import (
     FleetTickResult,
     ShardCoordinator,
 )
-from repro.shard.database import ExecutorSpec, FlatGather, ShardedDatabase
+from repro.shard.database import FlatGather, ShardedDatabase
 from repro.shard.mapping import TILINGS, ShardMap
 from repro.shard.scene import ShardedSceneDatabase
 from repro.shard.parallel import (
     SerialShardExecutor,
     ShardBatchResult,
     ShardCornerTask,
-    ShardExecutor,
     ShardSlice,
 )
-from repro.shard.shm import GatherStats, SharedArena, SharedMemoryShardExecutor
 
 __all__ = [
     "ShardMap",
@@ -34,15 +32,10 @@ __all__ = [
     "ShardedDatabase",
     "ShardedSceneDatabase",
     "ShardCoordinator",
-    "ShardExecutor",
     "ShardSlice",
     "ShardCornerTask",
     "ShardBatchResult",
     "SerialShardExecutor",
-    "SharedMemoryShardExecutor",
-    "SharedArena",
-    "GatherStats",
-    "ExecutorSpec",
     "FlatGather",
     "FleetShipping",
     "FleetTickResult",

@@ -13,11 +13,9 @@ What the coordinator adds over a plain ``Server(sharded_db)``:
   groups them by shard, and scatters **one batched task per shard**
   (:meth:`~repro.shard.database.ShardedDatabase.scatter`).  Each shard
   then answers its whole batch in a single shared frontier walk
-  (:func:`~repro.index.packed.corners_query_batch`) -- and with a
-  :class:`~repro.shard.shm.SharedMemoryShardExecutor` those per-shard
-  batches run in separate processes.  Batching is what makes
-  scattering pay: the per-level numpy overhead is amortised over the
-  batch instead of paid per sub-query.
+  (:func:`~repro.index.packed.corners_query_batch`).  Batching is
+  what makes scattering pay: the per-level numpy overhead is amortised
+  over the batch instead of paid per sub-query.
 * Frame-delta planning becomes shard-aware: one
   :class:`~repro.server.planner.FrontierPlanner` per shard, keyed off
   the shard's own packed index, with per-client memos per shard.

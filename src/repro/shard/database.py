@@ -20,9 +20,9 @@ Query answering becomes plan / scatter / gather:
   the pruning is bypassed so even a miss bills the same root traversal
   the unsharded index would -- exact I/O parity at ``S == 1``.
 * **scatter** -- run the sub-query on every planned shard's packed
-  index through a :class:`~repro.shard.parallel.ShardExecutor`
-  (in process, or on a shared-memory worker pool), mapping slice rows
-  to global rows.
+  index through the in-process
+  :class:`~repro.shard.parallel.SerialShardExecutor`, mapping slice
+  rows to global rows.
 * **gather** -- concatenate in ascending shard order, sum the
   per-shard :class:`~repro.index.stats.IOStats`, and sort the rows
   into ascending packed-uid order -- the server's canonical delivery
@@ -38,9 +38,8 @@ frame-delta planner is instead sharded by the coordinator.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,33 +52,15 @@ from repro.index.stats import IOStats
 from repro.server.database import AnyAccessMethod, ObjectDatabase, StoredObject
 from repro.shard.mapping import ShardMap
 from repro.shard.parallel import (
-    OVERHEAD_BUDGET_S,
     SerialShardExecutor,
     ShardBatchResult,
     ShardCornerTask,
-    ShardExecutor,
     ShardSlice,
-    measure_batch_overhead,
 )
-from repro.shard.shm import SharedMemoryShardExecutor
 from repro.store.uids import sorted_unique
 from repro.wavelets.analysis import WaveletDecomposition
 
-__all__ = ["ShardedDatabase", "ExecutorSpec", "FlatGather"]
-
-#: An executor instance, or one of the named policies ``"serial"``,
-#: ``"shm"``, ``"auto"`` (``None`` means serial).
-ExecutorSpec = Union[ShardExecutor, str, None]
-
-_EXECUTOR_NAMES = ("auto", "serial", "shm")
-
-
-def _usable_cpus() -> int:
-    """Cores this process may actually schedule on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-linux
-        return os.cpu_count() or 1
+__all__ = ["ShardedDatabase", "FlatGather"]
 
 
 @dataclass(frozen=True)
@@ -113,13 +94,7 @@ class ShardedDatabase(ObjectDatabase):
     is for callers that already hold a :class:`ShardMap`.
     """
 
-    def __init__(
-        self,
-        source: ObjectDatabase,
-        shard_map: ShardMap,
-        *,
-        executor: ExecutorSpec = None,
-    ) -> None:
+    def __init__(self, source: ObjectDatabase, shard_map: ShardMap) -> None:
         super().__init__(
             encoding=source.encoding,
             access_method="packed",
@@ -164,7 +139,8 @@ class ShardedDatabase(ObjectDatabase):
             slices.append(ShardSlice(shard=shard, db=slice_db, row_map=row_map))
         self._slices = tuple(slices)
         self._refresh_bounds()
-        self._executor: ShardExecutor = self._bind_executor(executor)
+        self._executor = SerialShardExecutor()
+        self._executor.bind(self._slices)
 
     def _refresh_bounds(self) -> None:
         """Per-shard index-space bounds (support MBB x value union).
@@ -186,59 +162,6 @@ class ShardedDatabase(ObjectDatabase):
         self._bounds_high = np.vstack(
             [high_cols[sl.row_map].max(axis=0) for sl in self._slices]
         )
-
-    def _bind_executor(self, spec: ExecutorSpec) -> ShardExecutor:
-        """Resolve an executor spec and bind it to the slices.
-
-        An explicit :class:`~repro.shard.parallel.ShardExecutor`
-        instance always wins; the named policies are ``"serial"``
-        (also ``None``), ``"shm"``, and ``"auto"`` -- the measured
-        policy of :meth:`_auto_executor`.
-        """
-        if isinstance(spec, str) and spec not in _EXECUTOR_NAMES:
-            raise ShardError(
-                f"unknown executor policy {spec!r}; expected one of "
-                f"{', '.join(_EXECUTOR_NAMES)} or a ShardExecutor instance"
-            )
-        if spec == "auto":
-            return self._auto_executor()
-        executor: ShardExecutor
-        if spec is None or spec == "serial":
-            executor = SerialShardExecutor()
-        elif spec == "shm":
-            executor = SharedMemoryShardExecutor()
-        else:
-            executor = spec
-        executor.bind(self._slices)
-        return executor
-
-    def _auto_executor(self) -> ShardExecutor:
-        """Measured policy: pay for a pool only where it can pay back.
-
-        One shard (nothing to scatter in parallel) or one usable core
-        never constructs a pool at all -- the 1-shard workload must not
-        pay a microsecond of pool overhead.  Otherwise the shm pool is
-        kept only when its measured per-batch round-trip overhead
-        (:func:`~repro.shard.parallel.measure_batch_overhead`) fits
-        :data:`~repro.shard.parallel.OVERHEAD_BUDGET_S`; a pool that
-        costs more per scatter than that is torn down again in favour
-        of the serial engine.
-        """
-        serial = SerialShardExecutor()
-        if self.shard_count == 1 or _usable_cpus() < 2:
-            serial.bind(self._slices)
-            return serial
-        pool = SharedMemoryShardExecutor()
-        pool.bind(self._slices)
-        try:
-            overhead = measure_batch_overhead(pool)
-        except ShardError:  # pragma: no cover - pool died during probe
-            overhead = float("inf")
-        if overhead > OVERHEAD_BUDGET_S:
-            pool.close()
-            serial.bind(self._slices)
-            return serial
-        return pool
 
     def _slice_database(
         self, objects: "Iterable[StoredObject]"
@@ -270,7 +193,6 @@ class ShardedDatabase(ObjectDatabase):
         shard_count: int,
         *,
         tiling: str = "str",
-        executor: ExecutorSpec = None,
     ) -> "ShardedDatabase":
         """Shard ``source`` by tiling its object footprints."""
         shard_map = ShardMap.build(
@@ -278,7 +200,7 @@ class ShardedDatabase(ObjectDatabase):
             shard_count,
             tiling=tiling,
         )
-        return cls(source, shard_map, executor=executor)
+        return cls(source, shard_map)
 
     # -- topology --------------------------------------------------------------
 
@@ -295,7 +217,7 @@ class ShardedDatabase(ObjectDatabase):
         return self._slices
 
     @property
-    def executor(self) -> ShardExecutor:
+    def executor(self) -> SerialShardExecutor:
         return self._executor
 
     def member_ids(self, shard: int) -> np.ndarray:
@@ -329,15 +251,13 @@ class ShardedDatabase(ObjectDatabase):
             )
         return Box(self._bounds_low[shard], self._bounds_high[shard])
 
-    def close(self) -> None:
-        """Release the executor (worker pool, if any)."""
-        self._executor.close()
-
+    # A sharded database holds no resources; ``with`` over one is kept
+    # only because the end-to-end benchmark's fleet_flat still uses it.
     def __enter__(self) -> "ShardedDatabase":
         return self
 
     def __exit__(self, *exc: object) -> None:
-        self.close()
+        return None
 
     # -- frozen-contract overrides ---------------------------------------------
 
@@ -497,11 +417,6 @@ class ShardedDatabase(ObjectDatabase):
             )
             if rows.size > 1:
                 rows = rows[np.argsort(uids[rows], kind="stable")]
-            elif len(groups) == 1:
-                # Sole-group short results are views into the batch --
-                # which may be shared-memory ring space recycled by the
-                # next scatter -- so detach them.
-                rows = rows.copy()
             out.append(
                 RowResult(
                     rows=rows,
@@ -533,9 +448,8 @@ class ShardedDatabase(ObjectDatabase):
         (:attr:`~repro.store.columns.CoefficientStore.uid_rank`), so a
         single in-place ``sort`` replaces a two-key ``lexsort`` and
         both parts read back out of the sorted key.  Row-for-row
-        identical to :meth:`assemble` (and detached from any executor
-        ring memory); raises :class:`ShardError` when ``total *
-        n_rows`` cannot fit the key.
+        identical to :meth:`assemble`; raises :class:`ShardError` when
+        ``total * n_rows`` cannot fit the key.
         """
         store = self.store
         n_rows = len(store)

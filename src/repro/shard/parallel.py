@@ -1,24 +1,19 @@
-"""The shard executor contract, its task runner, and the in-process executor.
+"""Shard tasks, their runner, and the executor a sharded database uses.
 
 A :class:`ShardCornerTask` bundles every sub-query bound for one shard,
-already lowered to index-space corner stacks; an executor runs a batch
+already lowered to index-space corner stacks; the executor runs a batch
 of tasks and returns one compact :class:`ShardBatchResult` per task --
 three flat arrays (concatenated rows already mapped into the *global*
 store's row space, per-sub-query counts, per-sub-query I/O) rather than
 per-sub-query Python objects.  :func:`run_task` is the one place a task
-becomes a result: :class:`SerialShardExecutor` calls it in process and
-the workers of :class:`~repro.shard.shm.SharedMemoryShardExecutor` call
-it on their shared-memory views of the same arrays, so the executors
-produce identical results (same rows, same per-sub-query I/O
-accounting) by construction -- the pool only changes *where* the
-:func:`~repro.index.packed.corners_query_batch` walk runs.
+becomes a result; :class:`SerialShardExecutor` calls it in process, one
+shard after another, on each slice's live packed index.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -35,10 +30,7 @@ __all__ = [
     "ShardCornerTask",
     "ShardBatchResult",
     "run_task",
-    "ShardExecutor",
     "SerialShardExecutor",
-    "measure_batch_overhead",
-    "OVERHEAD_BUDGET_S",
 ]
 
 
@@ -78,8 +70,7 @@ class ShardCornerTask:
     directly (spatial corners augmented with the value band): rows of
     the stacks :func:`~repro.index.packed.subquery_corners` lowers
     boxed sub-queries to, or of a fleet tick's corner columns.  The
-    lowering happens once, in the parent, so a task is two small arrays
-    on any executor's wire.
+    lowering happens once per batch, not once per consulted shard.
     """
 
     shard: int
@@ -118,21 +109,8 @@ def run_task(
     )
 
 
-class ShardExecutor(Protocol):
-    """The executor contract :class:`ShardedDatabase` scatters through."""
-
-    def bind(self, slices: Sequence[ShardSlice]) -> None:
-        """Attach to a database's slices (compiling their indexes)."""
-
-    def run(self, tasks: Sequence[ShardCornerTask]) -> list[ShardBatchResult]:
-        """Execute tasks, one compact batch result per task."""
-
-    def close(self) -> None:
-        """Release any resources (idempotent)."""
-
-
 class SerialShardExecutor:
-    """In-process executor: the reference the pool must match exactly."""
+    """Runs each task in process on its shard's bound slice."""
 
     def __init__(self) -> None:
         self._slices: tuple[ShardSlice, ...] | None = None
@@ -163,38 +141,3 @@ class SerialShardExecutor:
                 )
             )
         return results
-
-    def close(self) -> None:
-        self._slices = None
-
-
-#: Per-batch pool overhead (seconds) above which "auto" executor
-#: selection keeps the serial engine: a pool that costs more than this
-#: per scatter round-trip only pays off on batches larger than the
-#: coordinator typically sees, and loses outright on one shard or one
-#: core.
-OVERHEAD_BUDGET_S = 2e-3
-
-
-def measure_batch_overhead(
-    executor: ShardExecutor, *, shard: int = 0, repeats: int = 3
-) -> float:
-    """Measured per-batch round-trip overhead of a bound executor.
-
-    Scatters a zero-query corner task to one shard ``repeats`` times
-    and returns the *fastest* wall-clock round trip -- pure dispatch,
-    pickling, and gather cost with no index work behind it, which is
-    exactly the fixed tax a pooled executor adds to every scatter.
-    The minimum (not the mean) is the right estimator: scheduling
-    noise only ever inflates a round trip.
-    """
-    if repeats < 1:
-        raise ShardError(f"repeats must be >= 1, got {repeats}")
-    empty = np.empty((0, 0), dtype=np.float64)
-    probe = ShardCornerTask(shard=shard, qlow=empty, qhigh=empty)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()  # reprolint: disable=RL001
-        executor.run([probe])
-        best = min(best, time.perf_counter() - start)  # reprolint: disable=RL001
-    return best

@@ -21,10 +21,7 @@ at every epoch, exactly as in the static case.
 Bookkeeping per step: slice-local row ids are re-based into the new
 global row space (one ``searchsorted`` per shard -- both sides are
 uid-sorted), the per-shard planning bounds are recomputed from the new
-columns, and the executor is re-bound.  Only the in-process
-:class:`~repro.shard.parallel.SerialShardExecutor` is supported: it
-reads each slice's live index per task, whereas a worker pool holds the
-arrays it was bound to, so every epoch would cost it a full re-publish.
+columns, and the executor is re-bound to the re-based slices.
 
 As-of-epoch queries bypass the scatter entirely and answer from the
 global scene database's retained epoch views.
@@ -43,7 +40,7 @@ from repro.server.database import ObjectDatabase, StoredObject
 from repro.server.scene import SceneDatabase
 from repro.shard.database import ShardedDatabase
 from repro.shard.mapping import ShardMap
-from repro.shard.parallel import SerialShardExecutor, ShardSlice
+from repro.shard.parallel import ShardSlice
 from repro.store.columns import CoefficientStore
 from repro.store.scene import FootprintDelta, SceneDelta
 from repro.store.uids import sorted_isin, sorted_unique
@@ -81,7 +78,7 @@ class ShardedSceneDatabase(ShardedDatabase):
                 "ShardedSceneDatabase requires a SceneDatabase source"
             )
         self._source = source
-        super().__init__(source, shard_map, executor=SerialShardExecutor())
+        super().__init__(source, shard_map)
         # Membership is frozen at epoch 0: restricted deltas and
         # re-adds route by these sets forever.
         self._member_ids = tuple(

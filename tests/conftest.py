@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,18 @@ from repro.server.database import ObjectDatabase
 from repro.server.server import Server
 from repro.wavelets.analysis import analyze_hierarchy
 from repro.workloads.cityscape import CityConfig, build_city
+
+try:
+    from hypothesis import settings
+except ImportError:  # pragma: no cover - depends on the environment
+    pass
+else:
+    # Property tests draw the same examples on every run ("ci"); CI
+    # also runs them once under "random" with a fresh, printed seed:
+    # HYPOTHESIS_PROFILE=random pytest --hypothesis-seed=N ...
+    settings.register_profile("ci", derandomize=True)
+    settings.register_profile("random", derandomize=False)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 @pytest.fixture()

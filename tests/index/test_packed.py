@@ -248,7 +248,7 @@ class TestBatchWalkParity:
             packed.query_slots_many(np.zeros(2), np.zeros(2))
 
     def test_index_over_read_only_buffer_views(self):
-        """The shm worker's construction: ``np.frombuffer`` views.
+        """An index over read-only ``np.frombuffer`` views.
 
         The per-axis columns must derive from arrays that can be
         neither written nor re-owned, and must leave them untouched.

@@ -385,7 +385,7 @@ class TestLiveServerFuzz:
             finally:
                 writer.close()
 
-        async def scenario():
+        async def scenario(seed: int):
             async with serving(tiny_serve_server) as service:
                 rng = np.random.default_rng(5000 + seed)
                 await asyncio.gather(
@@ -403,7 +403,7 @@ class TestLiveServerFuzz:
                     response = await client.retrieve(simple_request())
                     assert response.record_count > 0
 
-        run(scenario())
+        run(scenario(seed))
 
     def test_client_rejects_oversized_server_frame(self, tiny_serve_server):
         """The cap is symmetric: a client with a small limit fails the

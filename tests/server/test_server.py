@@ -127,24 +127,23 @@ class TestBaseMeshShipping:
 class TestBlockPayload:
     def test_block_payload_dedupes(self, tiny_server: Server):
         region = wide_region()
-        payload1, io1, uids1 = tiny_server.block_payload_bytes(
-            50, region, 0.0, frozenset()
-        )
-        assert payload1 > 0
-        assert io1 > 0
-        assert uids1
-        payload2, io2, uids2 = tiny_server.block_payload_bytes(
-            50, region, 0.0, uids1
-        )
-        assert payload2 == 0
-        assert uids2 == frozenset()
+        first = tiny_server.quote_block(50, region, 0.0, frozenset())
+        tiny_server.commit_quote(first)
+        assert first.payload_bytes > 0
+        assert first.io_node_reads > 0
+        assert first.new_uids
+        second = tiny_server.quote_block(50, region, 0.0, first.new_uids)
+        tiny_server.commit_quote(second)
+        assert second.payload_bytes == 0
+        assert second.new_uids == frozenset()
 
     def test_block_payload_empty_region(self, tiny_server: Server):
-        payload, io, uids = tiny_server.block_payload_bytes(
+        quote = tiny_server.quote_block(
             60, Box((50_000, 50_000), (50_001, 50_001)), 0.0, frozenset()
         )
-        assert payload == 0
-        assert uids == frozenset()
+        tiny_server.commit_quote(quote)
+        assert quote.payload_bytes == 0
+        assert quote.new_uids == frozenset()
 
 
 class TestQuoteCommit:
@@ -180,12 +179,15 @@ class TestQuoteCommit:
         assert second.new_base_ids == frozenset()
         assert second.payload_bytes < first.payload_bytes
 
-    def test_legacy_wrapper_commits(self, tiny_city):
+    def test_quote_then_commit_ships_bases_once(self, tiny_city):
         server = Server(tiny_city)
-        payload1, _, _ = server.block_payload_bytes(7, wide_region(), 0.0, frozenset())
-        payload2, _, _ = server.block_payload_bytes(7, wide_region(), 0.0, frozenset())
+        payloads = []
+        for _ in range(2):
+            quote = server.quote_block(7, wide_region(), 0.0, frozenset())
+            server.commit_quote(quote)
+            payloads.append(quote.payload_bytes)
         # Second call re-ships records but not base connectivity.
-        assert payload2 < payload1
+        assert payloads[1] < payloads[0]
 
 
 def moved_scene(city) -> SceneDatabase:

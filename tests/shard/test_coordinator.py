@@ -121,18 +121,18 @@ class TestResponseParity:
     @pytest.mark.parametrize("shards", [1, 4, 8])
     def test_serial_scatter_matches_unsharded(self, shard_city, shards):
         baseline = drive(Server(shard_city), 21)
-        with ShardedDatabase.from_database(shard_city, shards) as db:
-            assert drive(ShardCoordinator(db), 21) == baseline
+        db = ShardedDatabase.from_database(shard_city, shards)
+        assert drive(ShardCoordinator(db), 21) == baseline
 
     def test_single_shard_matches_io_too(self, shard_city):
         baseline = drive(Server(shard_city), 22, with_io=True)
-        with ShardedDatabase.from_database(shard_city, 1) as db:
-            assert drive(ShardCoordinator(db), 22, with_io=True) == baseline
+        db = ShardedDatabase.from_database(shard_city, 1)
+        assert drive(ShardCoordinator(db), 22, with_io=True) == baseline
 
     def test_execute_many_matches_serial_loop(self, shard_city):
         baseline = drive(Server(shard_city), 23)
-        with ShardedDatabase.from_database(shard_city, 8) as db:
-            assert drive_many(ShardCoordinator(db), 23) == baseline
+        db = ShardedDatabase.from_database(shard_city, 8)
+        assert drive_many(ShardCoordinator(db), 23) == baseline
 
     def test_multi_client_batch_in_request_order(self, shard_city):
         """One scatter answering several clients' frames must mutate
@@ -140,11 +140,11 @@ class TestResponseParity:
         requests = [
             next(tour_requests(client_id)) for client_id in (31, 32, 33)
         ]
-        with ShardedDatabase.from_database(shard_city, 8) as db:
-            coordinator = ShardCoordinator(db)
-            batched = [
-                b.to_response() for b in coordinator.execute_many(requests)
-            ]
+        db = ShardedDatabase.from_database(shard_city, 8)
+        coordinator = ShardCoordinator(db)
+        batched = [
+            b.to_response() for b in coordinator.execute_many(requests)
+        ]
         serial_server = Server(shard_city)
         serial = [
             serial_server.execute_batch(r).to_response() for r in requests
@@ -162,28 +162,28 @@ class TestResponseParity:
         """Uids delivered from several shards are excluded wholesale on
         the next frame -- no shard re-ships another shard's rows."""
         frame = Box((0.0, 0.0), (1000.0, 1000.0))
-        with ShardedDatabase.from_database(shard_city, 8) as db:
-            assert db.plan(frame, 0.0, 1.0).size > 1
-            coordinator = ShardCoordinator(db)
-            first = coordinator.execute_batch(
-                make_request(24, 0.0, [RegionRequest(frame, 0.0, 1.0)])
+        db = ShardedDatabase.from_database(shard_city, 8)
+        assert db.plan(frame, 0.0, 1.0).size > 1
+        coordinator = ShardCoordinator(db)
+        first = coordinator.execute_batch(
+            make_request(24, 0.0, [RegionRequest(frame, 0.0, 1.0)])
+        )
+        position = {
+            obj.object_id: pos for pos, obj in enumerate(db.objects)
+        }
+        shards_hit = {
+            int(db.shard_map.shard_of[position[int(oid)]])
+            for oid in db.store.object_ids[first.batch.rows]
+        }
+        delivered = first.batch.uids
+        second = coordinator.execute_batch(
+            make_request(
+                24,
+                1.0,
+                [RegionRequest(frame, 0.0, 1.0)],
+                exclude=delivered,
             )
-            position = {
-                obj.object_id: pos for pos, obj in enumerate(db.objects)
-            }
-            shards_hit = {
-                int(db.shard_map.shard_of[position[int(oid)]])
-                for oid in db.store.object_ids[first.batch.rows]
-            }
-            delivered = first.batch.uids
-            second = coordinator.execute_batch(
-                make_request(
-                    24,
-                    1.0,
-                    [RegionRequest(frame, 0.0, 1.0)],
-                    exclude=delivered,
-                )
-            )
+        )
         assert first.record_count > 0
         assert len(shards_hit) > 1
         assert second.record_count == 0
@@ -193,30 +193,30 @@ class TestResponseParity:
 class TestShardAwarePlanning:
     def test_plan_deltas_matches_unsharded(self, shard_city):
         baseline = drive(Server(shard_city, plan_deltas=True), 27)
-        with ShardedDatabase.from_database(shard_city, 4) as db:
-            coordinator = ShardCoordinator(db, plan_deltas=True)
-            assert drive(coordinator, 27) == baseline
-            warm = sum(
-                p.counters.warm for p in coordinator.shard_planners.values()
-            )
-            assert len(coordinator.shard_planners) >= 1
-            assert warm > 0
+        db = ShardedDatabase.from_database(shard_city, 4)
+        coordinator = ShardCoordinator(db, plan_deltas=True)
+        assert drive(coordinator, 27) == baseline
+        warm = sum(
+            p.counters.warm for p in coordinator.shard_planners.values()
+        )
+        assert len(coordinator.shard_planners) >= 1
+        assert warm > 0
 
     def test_reset_client_forgets_in_every_shard(self, shard_city):
-        with ShardedDatabase.from_database(shard_city, 4) as db:
-            coordinator = ShardCoordinator(db, plan_deltas=True)
-            drive(coordinator, 28)
-            coordinator.reset_client(28)
-            before = {
-                shard: planner.counters.cold
-                for shard, planner in coordinator.shard_planners.items()
-            }
-            coordinator.execute_batch(next(tour_requests(28)))
-            after = {
-                shard: planner.counters.cold
-                for shard, planner in coordinator.shard_planners.items()
-            }
-            assert any(after[s] > before.get(s, 0) for s in after)
+        db = ShardedDatabase.from_database(shard_city, 4)
+        coordinator = ShardCoordinator(db, plan_deltas=True)
+        drive(coordinator, 28)
+        coordinator.reset_client(28)
+        before = {
+            shard: planner.counters.cold
+            for shard, planner in coordinator.shard_planners.items()
+        }
+        coordinator.execute_batch(next(tour_requests(28)))
+        after = {
+            shard: planner.counters.cold
+            for shard, planner in coordinator.shard_planners.items()
+        }
+        assert any(after[s] > before.get(s, 0) for s in after)
 
 
 class TestQuoteBlocks:
@@ -225,8 +225,7 @@ class TestQuoteBlocks:
 
     @pytest.fixture(params=[1, 2, 4])
     def sharded(self, request, shard_city):
-        with ShardedDatabase.from_database(shard_city, request.param) as db:
-            yield db
+        return ShardedDatabase.from_database(shard_city, request.param)
 
     @pytest.mark.parametrize("plan_deltas", [False, True])
     def test_matches_the_loop(self, sharded, shard_city, plan_deltas):
@@ -304,19 +303,19 @@ class TestQuoteBlocks:
         shard_map = ShardMap.build(
             [obj.footprint for obj in source.objects], shards
         )
-        with ShardedSceneDatabase(source, shard_map) as db:
-            coordinator = ShardCoordinator(db)
-            coordinator.advance_epoch(
-                SceneDelta(
-                    move_ids=np.asarray([0, 7], dtype=np.int64),
-                    move_offsets=np.asarray(
-                        [(60.0, -40.0, 0.0), (-35.0, 20.0, 0.0)]
-                    ),
-                )
+        db = ShardedSceneDatabase(source, shard_map)
+        coordinator = ShardCoordinator(db)
+        coordinator.advance_epoch(
+            SceneDelta(
+                move_ids=np.asarray([0, 7], dtype=np.int64),
+                move_offsets=np.asarray(
+                    [(60.0, -40.0, 0.0), (-35.0, 20.0, 0.0)]
+                ),
             )
-            assert_batch_matches_loop(
-                lambda: ShardCoordinator(db), scattered_blocks()
-            )
+        )
+        assert_batch_matches_loop(
+            lambda: ShardCoordinator(db), scattered_blocks()
+        )
 
 
 class TestWireLevel:
@@ -328,19 +327,19 @@ class TestWireLevel:
         from repro.serve.wire import encode_request
 
         for shards in (1, 8):
-            with ShardedDatabase.from_database(shard_city, shards) as db:
-                sharded_engine = ServeEngine(ShardCoordinator(db))
-                baseline_engine = ServeEngine(Server(shard_city))
-                for request in tour_requests(29):
-                    payload = encode_request(request)
-                    got, got_client = sharded_engine.handle(payload)
-                    want, want_client = baseline_engine.handle(payload)
-                    assert got_client == want_client == 29
-                    if shards == 1:
-                        assert got == want
-                    else:
-                        # Frames differ only through the io counters.
-                        assert len(got) == len(want)
+            db = ShardedDatabase.from_database(shard_city, shards)
+            sharded_engine = ServeEngine(ShardCoordinator(db))
+            baseline_engine = ServeEngine(Server(shard_city))
+            for request in tour_requests(29):
+                payload = encode_request(request)
+                got, got_client = sharded_engine.handle(payload)
+                want, want_client = baseline_engine.handle(payload)
+                assert got_client == want_client == 29
+                if shards == 1:
+                    assert got == want
+                else:
+                    # Frames differ only through the io counters.
+                    assert len(got) == len(want)
 
 
 class TestConstruction:
@@ -357,7 +356,6 @@ class TestConstruction:
         server = build_server(args)
         assert isinstance(server, ShardCoordinator)
         assert server.sharded.shard_count >= 2
-        server.sharded.close()
 
     def test_serve_entrypoint_default_is_plain_server(self):
         from repro.serve.__main__ import build_arg_parser, build_server

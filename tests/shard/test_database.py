@@ -245,18 +245,51 @@ class TestFlatGather:
         )
         store = backwards.store
         assert not np.array_equal(store.uid_rank, np.arange(len(store)))
-        with ShardedDatabase.from_database(backwards, 4) as db:
-            assert_flat_matches_assemble(db, QUERIES)
-            assignments, batches = scatter_corners(db, QUERIES[:1])
-            flat = db.assemble_flat(assignments, batches, 1)
-            assert flat.rows.size == len(store)
-            assert np.all(np.diff(store.packed_uids[flat.rows]) > 0)
+        db = ShardedDatabase.from_database(backwards, 4)
+        assert_flat_matches_assemble(db, QUERIES)
+        assignments, batches = scatter_corners(db, QUERIES[:1])
+        flat = db.assemble_flat(assignments, batches, 1)
+        assert flat.rows.size == len(store)
+        assert np.all(np.diff(store.packed_uids[flat.rows]) > 0)
 
     def test_key_overflow_rejected(self, shard_city):
         db = sharded_for(shard_city, 4)
         fits = np.iinfo(np.int64).max // len(db.store)
         with pytest.raises(ShardError, match="overflow"):
             db.assemble_flat([], [], fits + 1)
+
+
+def single_row_query(store) -> tuple[Box, float, float]:
+    """A window whose answer is one row: a point inside the support of
+    the row with a value no other row has, over a zero-width band."""
+    values, counts = np.unique(store.values, return_counts=True)
+    row = int(np.flatnonzero(store.values == values[counts == 1][0])[0])
+    centre = (store.support_low[row, :2] + store.support_high[row, :2]) / 2
+    value = float(store.values[row])
+    return Box(centre, centre), value, value
+
+
+class TestGatheredRowsOutliveTheNextScatter:
+    """Gathered rows are the caller's: a later scatter on the same
+    database leaves them unchanged, including a one-row answer that is
+    a view of its shard's batch."""
+
+    def test_assemble(self, shard_city):
+        db = sharded_for(shard_city, 4)
+        queries = [single_row_query(db.store), *QUERIES]
+        results = db.assemble(*db.scatter(*db.lower(queries)), len(queries))
+        assert results[0].rows.size == 1
+        kept = [result.rows.copy() for result in results]
+        db.scatter(*db.lower(QUERIES[::-1]))
+        for result, rows in zip(results, kept):
+            assert np.array_equal(result.rows, rows)
+
+    def test_assemble_flat(self, shard_city):
+        db = sharded_for(shard_city, 4)
+        flat = db.assemble_flat(*db.scatter(*db.lower(QUERIES)), len(QUERIES))
+        kept = flat.rows.copy()
+        db.scatter(*db.lower(QUERIES[::-1]))
+        assert np.array_equal(flat.rows, kept)
 
 
 class TestPlanning:
