@@ -1,15 +1,15 @@
 """Datapath benchmark: per-record vs columnar serving stack.
 
-Measures the two implementations of the same semantics:
+Measures the two implementations of the same semantics, both over the
+database's packed index:
 
-* **per-record** -- ``Server.execute_per_record`` over the R*-tree
-  access method: Python tree traversal, per-record half-open/no-reship
-  filtering against a (rebuilt-per-frame) delivered set, dict merge,
-  per-record displacement lookups.
-* **columnar** -- ``Server.execute_batch`` over the columnar access
-  method: one vectorised predicate over the coefficient store, a
-  sorted-uid ``searchsorted`` join for the delivered-set filter, and
-  column reductions for all wire accounting.
+* **per-record** -- ``Server.execute_per_record``: hits materialised as
+  record views, per-record half-open/no-reship filtering against a
+  (rebuilt-per-frame) delivered set, dict merge, per-record
+  displacement lookups.
+* **columnar** -- ``Server.execute_batch``: store row ids straight from
+  the index, a sorted-uid ``searchsorted`` join for the delivered-set
+  filter, and column reductions for all wire accounting.
 
 Both run the identical simulated tour against the identical stored
 objects; the benchmark asserts the retrieved uid sets match frame by
@@ -35,13 +35,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from bench_fleet import machine_context  # sibling script: one definition
 from repro.core.resolution import LinearMapper, clamp_speed
 from repro.core.retrieval import ContinuousRetrievalClient
 from repro.geometry.box import Box
 from repro.net.link import WirelessLink
 from repro.net.messages import RegionRequest, RetrieveRequest
 from repro.net.simclock import SimClock
-from repro.server.database import ObjectDatabase
 from repro.server.server import Server
 from repro.workloads.cityscape import CityConfig, build_city
 
@@ -180,28 +180,22 @@ def run(smoke: bool) -> dict:
     else:
         config = CityConfig(space=SPACE, seed=42)  # the default cityscape scale
         steps, frame_side = 60, 140.0
-    # The baseline must stay the object-tree walk: the database default
-    # is now "packed", which would silently erase the speedup being
-    # measured here.
-    db_tree = build_city(config, access_method="motion_aware")
-    db_columnar = db_tree.with_access_method("columnar")
-    # Build both indexes (and the shared store) outside the timed loops.
-    db_tree.access_method
-    db_columnar.access_method
-    server_tree = Server(db_tree)
-    server_columnar = Server(db_columnar)
+    db = build_city(config)
+    # Build the index (and the store) outside the timed loops.
+    db.access_method
+    server = Server(db)
     mapper = LinearMapper()
     frames = build_frames(steps, frame_side)
 
-    legacy_sets, legacy_s = drive_per_record(server_tree, frames, mapper)
-    columnar_sets, columnar_s = drive_columnar(server_columnar, frames, mapper)
+    legacy_sets, legacy_s = drive_per_record(server, frames, mapper)
+    columnar_sets, columnar_s = drive_columnar(server, frames, mapper)
     identical = legacy_sets == columnar_sets
     assert identical, "columnar query answering diverged from the per-record path"
 
     legacy_bytes, legacy_uids, legacy_tour_s = tour_per_record(
-        server_tree, frames, mapper
+        server, frames, mapper
     )
-    col_bytes, col_uids, col_tour_s = tour_columnar(server_columnar, frames, mapper)
+    col_bytes, col_uids, col_tour_s = tour_columnar(server, frames, mapper)
     assert legacy_bytes == col_bytes, "end-to-end wire bytes diverged"
     assert legacy_uids == col_uids, "end-to-end delivered uid sets diverged"
 
@@ -209,11 +203,12 @@ def run(smoke: bool) -> dict:
         "config": {
             "object_count": config.object_count,
             "levels": config.levels,
-            "records": db_tree.record_count,
-            "dataset_bytes": db_tree.total_bytes,
+            "records": db.record_count,
+            "dataset_bytes": db.total_bytes,
             "frames": steps,
             "smoke": smoke,
         },
+        "machine": machine_context(),
         "query_answering": {
             "per_record_s": round(legacy_s, 6),
             "columnar_s": round(columnar_s, 6),

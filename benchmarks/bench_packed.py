@@ -3,12 +3,12 @@
 Measures three implementations of the same query semantics on the same
 stored objects and the same simulated tour:
 
-* **object tree** -- ``Server.execute_batch`` over the
-  ``motion_aware`` access method: Python ``Node``/``Entry`` traversal,
-  hits mapped to store rows.
-* **packed** -- ``Server.execute_batch`` over the ``packed`` access
-  method: the same R*-tree compiled to level-ordered numpy arrays,
-  one vectorised frontier intersection per level.
+* **object tree** -- a ``MotionAwareAccessMethod`` built over
+  ``db.all_records()``: Python ``Node``/``Entry`` traversal, hits
+  mapped to store rows, fed through ``Server.gather_batch``.
+* **packed** -- ``Server.execute_batch`` over the database's own
+  index: the same R*-tree compiled to level-ordered numpy arrays, one
+  vectorised frontier intersection per level, then the same gather.
 * **packed + planner** -- ``Server(plan_deltas=True)``: per-client
   frontier memos answer queries contained in the previous frame's
   inflated window without a root traversal.
@@ -37,11 +37,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from bench_fleet import machine_context  # sibling script: one definition
 from repro.core.resolution import LinearMapper, clamp_speed
 from repro.geometry.box import Box
+from repro.index.access import MotionAwareAccessMethod
+from repro.index.packed import RowResult
 from repro.net.messages import RegionRequest, RetrieveRequest
 from repro.server.planner import FrontierPlanner
 from repro.server.server import Server
+from repro.store.uids import pack_uid
 from repro.workloads.cityscape import CityConfig, build_city
 
 SPACE = Box((0.0, 0.0), (1000.0, 1000.0))
@@ -61,12 +65,39 @@ def build_frames(steps: int, frame_side: float) -> list[tuple[float, Box]]:
     return frames
 
 
-def drive_batch(server: Server, frames, mapper, client_id: int, *, deltas=False):
+def tree_fetch(tree: MotionAwareAccessMethod, store):
+    """The server's fetch stage answered by the object-tree walk.
+
+    Hits become store rows in the canonical ascending packed-uid order
+    :meth:`Server.gather_batch` expects of every fetch.
+    """
+
+    def fetch(request: RegionRequest) -> RowResult:
+        result = tree.query(request.region, request.w_min, request.w_max)
+        keys = np.fromiter(
+            (
+                pack_uid(r.object_id, r.key.level, r.key.index)
+                for r in result.records
+            ),
+            dtype=np.int64,
+            count=len(result.records),
+        )
+        keys.sort()
+        return RowResult(rows=store.rows_for_packed(keys), io=result.io)
+
+    return fetch
+
+
+def drive_batch(
+    server: Server, frames, mapper, client_id: int, *, deltas=False, fetch=None
+):
     """One tour through ``execute_batch``; returns per-frame digests.
 
     With ``deltas=True`` each request carries Algorithm 1's sub-query
     plan (difference rectangles + overlap band) instead of one
-    full-window region, matching what a continuous client sends.
+    full-window region, matching what a continuous client sends.  A
+    ``fetch`` callable replaces the server's own fetch stage: its
+    per-region rows go through the same ``gather_batch``.
     """
     server.reset_client(client_id)
     sent = None
@@ -80,12 +111,18 @@ def drive_batch(server: Server, frames, mapper, client_id: int, *, deltas=False)
             prev_box, prev_w = frame, w_min
         else:
             regions = (RegionRequest(frame, w_min, 1.0),)
-        response = server.execute_batch(RetrieveRequest(
+        request = RetrieveRequest(
             timestamp=float(t),
             client_id=client_id,
             regions=regions,
             exclude_uids=sent,
-        ))
+        )
+        if fetch is None:
+            response = server.execute_batch(request)
+        else:
+            response = server.gather_batch(
+                request, [fetch(region) for region in regions]
+            )
         uids = response.batch.uids
         sent = uids if sent is None else sent.union(uids)
         digests.append((response.batch.rows, response.io_node_reads))
@@ -144,31 +181,28 @@ def run(smoke: bool) -> dict:
     else:
         config = CityConfig(space=SPACE, seed=42)  # the default cityscape scale
         steps, frame_side = 60, 140.0
-    db_packed = build_city(config)  # "packed" is the database default
-    db_tree = db_packed.with_access_method("motion_aware")
-    db_packed.access_method
-    db_tree.access_method
+    db_packed = build_city(config)
+    method = db_packed.access_method
+    tree = MotionAwareAccessMethod(db_packed.all_records())
     mapper = LinearMapper()
     frames = build_frames(steps, frame_side)
 
     # -- part 1: server-side query answering, object tree vs packed ----------
-    tree_digests, tree_s = drive_batch(Server(db_tree), frames, mapper, 1)
-    packed_digests, packed_s = drive_batch(Server(db_packed), frames, mapper, 2)
+    server = Server(db_packed)
+    tree_digests, tree_s = drive_batch(
+        server, frames, mapper, 1, fetch=tree_fetch(tree, db_packed.store)
+    )
+    packed_digests, packed_s = drive_batch(server, frames, mapper, 2)
     for t, ((rows_a, io_a), (rows_b, io_b)) in enumerate(
         zip(tree_digests, packed_digests)
     ):
-        # Same row-id sets; delivery order may differ (stack-walk order
-        # vs level order), which leaves all wire accounting unchanged.
-        assert sorted(rows_a.tolist()) == sorted(rows_b.tolist()), (
-            f"row divergence at frame {t}"
-        )
+        assert rows_a.tolist() == rows_b.tolist(), f"row divergence at frame {t}"
         assert io_a == io_b, f"node-access divergence at frame {t}: {io_a} != {io_b}"
 
     # -- part 2: frame-delta planner vs cold packed traversal ----------------
     # The workload is Algorithm 1's actual sub-query stream: difference
     # rectangles + a half-open overlap band per frame, which the memo
     # amortises across (the cold path re-descends for every sub-query).
-    method = db_packed.access_method
     cold_rows, cold_s = drive_deltas(method.query_rows, frames, mapper)
     planner = FrontierPlanner(method)
     warm_rows, warm_s = drive_deltas(
@@ -203,6 +237,7 @@ def run(smoke: bool) -> dict:
             "frames": steps,
             "smoke": smoke,
         },
+        "machine": machine_context(),
         "query_answering": {
             "object_tree_s": round(tree_s, 6),
             "packed_s": round(packed_s, 6),

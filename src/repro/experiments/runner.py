@@ -95,7 +95,6 @@ def city_database(
     *,
     object_count: int | None = None,
     placement: str = "uniform",
-    access_method: str = "motion_aware",
     seed: int = 7,
     dense: bool = False,
     deep: bool = False,
@@ -117,7 +116,7 @@ def city_database(
             scale.buffer_objects * 2 // 5, 20
         )
     levels = scale.levels if (deep or not dense) else scale.buffer_levels
-    key = (count, placement, access_method, levels, seed, dense, deep)
+    key = (count, placement, levels, seed, dense, deep)
     if key not in _city_cache:
         config = CityConfig(
             space=scale.space,
@@ -128,7 +127,7 @@ def city_database(
             min_size_frac=0.02 if dense else 0.008,
             max_size_frac=0.05 if dense else 0.02,
         )
-        _city_cache[key] = build_city(config, access_method=access_method)
+        _city_cache[key] = build_city(config)
     return _city_cache[key]
 
 

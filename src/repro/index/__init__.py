@@ -6,7 +6,6 @@ from repro.index.access import (
     NaivePointAccessMethod,
 )
 from repro.index.bulk import bulk_load, str_pack
-from repro.index.columnar import PAGE_BYTES, ColumnarAccessMethod, RowResult
 from repro.index.dynamic import (
     DynamicAccessMethod,
     DynamicPackedIndex,
@@ -20,6 +19,7 @@ from repro.index.packed import (
     PackedCandidates,
     PackedIndex,
     PackedLevel,
+    RowResult,
 )
 from repro.index.rstar import RStarTree
 from repro.index.rtree import DEFAULT_NODE_CAPACITY, RTree
@@ -39,9 +39,7 @@ __all__ = [
     "AccessResult",
     "NaivePointAccessMethod",
     "MotionAwareAccessMethod",
-    "ColumnarAccessMethod",
     "RowResult",
-    "PAGE_BYTES",
     "PackedIndex",
     "PackedLevel",
     "PackedCandidates",

@@ -53,7 +53,6 @@ from repro.errors import IndexError_
 from repro.geometry.box import Box
 from repro.index.access import AccessResult, _spatial_query_box
 from repro.index.bulk import bulk_load
-from repro.index.columnar import RowResult
 from repro.index.node import Node
 from repro.index.rstar import RStarTree
 from repro.index.rtree import DEFAULT_NODE_CAPACITY, RTree
@@ -61,6 +60,7 @@ from repro.index.stats import IOStats
 from repro.store.columns import CoefficientStore
 
 __all__ = [
+    "RowResult",
     "PackedLevel",
     "PackedCandidates",
     "PackedIndex",
@@ -70,6 +70,14 @@ __all__ = [
     "region_corners",
     "corners_query_batch",
 ]
+
+
+@dataclass(frozen=True)
+class RowResult:
+    """Outcome of one row query: store row ids plus the I/O spent."""
+
+    rows: np.ndarray
+    io: IOStats
 
 
 def query_corner_box(

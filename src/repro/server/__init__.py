@@ -1,6 +1,6 @@
 """Server side: object database and query-processing front end."""
 
-from repro.server.database import ACCESS_METHODS, ObjectDatabase, StoredObject
+from repro.server.database import ObjectDatabase, StoredObject
 from repro.server.planner import FrontierPlanner, PlannerCounters
 from repro.server.scene import DEFAULT_RETAINED_EPOCHS, SceneDatabase
 from repro.server.server import BlockQuote, Server
@@ -12,7 +12,6 @@ __all__ = [
     "StoredObject",
     "Server",
     "BlockQuote",
-    "ACCESS_METHODS",
     "FrontierPlanner",
     "PlannerCounters",
 ]

@@ -2,15 +2,15 @@
 
 Stores a set of wavelet-decomposed objects in one columnar
 :class:`~repro.store.columns.CoefficientStore` (built at decomposition
-time, concatenated lazily across objects) and builds the spatial access
-method over it.  Exposes the query surfaces the rest of the system
-needs:
+time, concatenated lazily across objects) and builds the packed
+support-region index over it.  Exposes the query surfaces the rest of
+the system needs:
 
 * :meth:`ObjectDatabase.query_region_rows` -- the multi-resolution
   window query ``Q(R, w_max, w_min)`` returning *row ids* into the
   store (the vectorised currency of the serving stack);
 * :meth:`ObjectDatabase.query_region` -- the same query materialised as
-  per-record views, for legacy consumers;
+  per-record views, for the per-record reference path;
 * :meth:`ObjectDatabase.block_rows_fn` / :meth:`ObjectDatabase.block_bytes_fn`
   -- one buffer block (grid cell x resolution) as rows / wire bytes,
   as callables bound to a grid, used by the buffer managers.
@@ -26,34 +26,18 @@ import numpy as np
 from repro.errors import StoreError, WorkloadError
 from repro.geometry.box import Box
 from repro.geometry.grid import CellId, Grid
-from repro.index.access import (
-    AccessResult,
-    MotionAwareAccessMethod,
-    NaivePointAccessMethod,
-)
-from repro.index.columnar import ColumnarAccessMethod, RowResult
+from repro.index.access import AccessResult
 from repro.index.dynamic import DynamicAccessMethod
-from repro.index.packed import PackedAccessMethod
-from repro.index.stats import IOStats
+from repro.index.packed import PackedAccessMethod, RowResult
 from repro.store.columns import CoefficientStore
 from repro.store.scene import FootprintDelta, SceneDelta
-from repro.store.uids import pack_uid
 from repro.wavelets.analysis import WaveletDecomposition
 from repro.wavelets.coefficients import CoefficientRecord
 from repro.wavelets.encoding import DEFAULT_ENCODING, EncodingModel
 
-__all__ = ["StoredObject", "ObjectDatabase", "ACCESS_METHODS"]
+__all__ = ["StoredObject", "ObjectDatabase"]
 
-#: The selectable access methods.
-ACCESS_METHODS = ("packed", "motion_aware", "naive", "columnar")
-
-AnyAccessMethod = (
-    MotionAwareAccessMethod
-    | NaivePointAccessMethod
-    | ColumnarAccessMethod
-    | PackedAccessMethod
-    | DynamicAccessMethod
-)
+AnyAccessMethod = PackedAccessMethod | DynamicAccessMethod
 
 
 class StoredObject:
@@ -95,22 +79,19 @@ class StoredObject:
 
 
 class ObjectDatabase:
-    """A collection of wavelet-decomposed 3-D objects plus an index.
+    """A collection of wavelet-decomposed 3-D objects plus their index.
+
+    The index is the paper's support-region R*-tree (Section VI)
+    compiled to flat arrays: a :class:`~repro.index.packed.PackedAccessMethod`,
+    traversed one vectorised level at a time, with the object tree's
+    result sets and node-access counts.  The object-tree walks of
+    :mod:`repro.index.access` are built directly where a figure compares
+    them.
 
     Parameters
     ----------
     encoding:
         Byte accounting model for all wire sizes.
-    access_method:
-        ``"packed"`` (the paper's support-region R*-tree compiled to
-        flat arrays, traversed one vectorised level at a time -- the
-        default: identical result sets and node-access counts to
-        ``"motion_aware"``, a fraction of the wall-clock),
-        ``"motion_aware"`` (the object-tree walk, kept for dynamic
-        insert/delete workloads and as the parity reference),
-        ``"naive"`` (point index with neighbour re-query), or
-        ``"columnar"`` (vectorised batch scan over the store with a
-        paged I/O model).
     spatial_dims:
         2 for the paper's ``(x, y, w)`` index; 3 for ``(x, y, z, w)``.
     """
@@ -119,13 +100,9 @@ class ObjectDatabase:
         self,
         *,
         encoding: EncodingModel = DEFAULT_ENCODING,
-        access_method: str = "packed",
         spatial_dims: int = 2,
     ):
-        if access_method not in ACCESS_METHODS:
-            raise WorkloadError(f"unknown access method {access_method!r}")
         self._encoding = encoding
-        self._method_name = access_method
         self._spatial_dims = spatial_dims
         self._objects: dict[int, StoredObject] = {}
         self._method: AnyAccessMethod | None = None
@@ -137,10 +114,6 @@ class ObjectDatabase:
     @property
     def encoding(self) -> EncodingModel:
         return self._encoding
-
-    @property
-    def method_name(self) -> str:
-        return self._method_name
 
     @property
     def spatial_dims(self) -> int:
@@ -178,43 +151,21 @@ class ObjectDatabase:
             raise WorkloadError(f"no object with id {object_id}")
         return self._objects[object_id]
 
-    def with_access_method(self, access_method: str) -> "ObjectDatabase":
-        """A database over the *same* stored objects with another method.
-
-        Shares the object table and columnar store (both immutable once
-        built); only the index differs.  Used by benchmarks and
-        experiments to compare access methods on identical data.
-        """
-        clone = ObjectDatabase.from_objects(
-            self._objects.values(),
-            encoding=self._encoding,
-            access_method=access_method,
-            spatial_dims=self._spatial_dims,
-        )
-        clone._store = self._store
-        return clone
-
     @classmethod
     def from_objects(
         cls,
         objects: "Iterable[StoredObject]",
         *,
         encoding: EncodingModel = DEFAULT_ENCODING,
-        access_method: str = "packed",
         spatial_dims: int = 2,
     ) -> "ObjectDatabase":
         """A database over already-stored objects, sharing their stores.
 
         The objects are registered in iteration order (which fixes the
         concatenated store's row order) without re-running any
-        decomposition work; this is how shard slices and access-method
-        clones are built.
+        decomposition work; this is how shard slices are built.
         """
-        db = cls(
-            encoding=encoding,
-            access_method=access_method,
-            spatial_dims=spatial_dims,
-        )
+        db = cls(encoding=encoding, spatial_dims=spatial_dims)
         for obj in objects:
             if obj.object_id in db._objects:
                 raise WorkloadError(
@@ -259,31 +210,16 @@ class ObjectDatabase:
 
     @property
     def access_method(self) -> AnyAccessMethod:
-        """The (lazily built) spatial access method over all records."""
+        """The (lazily built) packed index over all records."""
         if self._method is None:
             if not self._objects:
                 raise WorkloadError("cannot index an empty database")
-            if self._method_name == "packed":
-                self._method = PackedAccessMethod(
-                    self.store, spatial_dims=self._spatial_dims
-                )
-            elif self._method_name == "columnar":
-                self._method = ColumnarAccessMethod(
-                    self.store, spatial_dims=self._spatial_dims
-                )
-            elif self._method_name == "motion_aware":
-                self._method = MotionAwareAccessMethod(
-                    self.all_records(), spatial_dims=self._spatial_dims
-                )
-            else:
-                self._method = NaivePointAccessMethod(
-                    self.all_records(), spatial_dims=self._spatial_dims
-                )
+            self._method = PackedAccessMethod(
+                self.store, spatial_dims=self._spatial_dims
+            )
         return self._method
 
-    def packed_access_method(
-        self,
-    ) -> PackedAccessMethod | DynamicAccessMethod | None:
+    def packed_access_method(self) -> AnyAccessMethod | None:
         """The live packed index, or None when this database has none.
 
         The server's frame-delta planner keys its memos off this hook
@@ -293,11 +229,9 @@ class ObjectDatabase:
         returns its epoch-stepping dynamic index, which exposes the
         same traversal surface.
         """
-        if self._method_name != "packed" or not self._objects:
+        if not self._objects:
             return None
-        method = self.access_method
-        assert isinstance(method, (PackedAccessMethod, DynamicAccessMethod))
-        return method
+        return self.access_method
 
     # -- the epoch surface ---------------------------------------------------------
 
@@ -343,39 +277,14 @@ class ObjectDatabase:
     def query_region(
         self, region: Box, w_min: float, w_max: float
     ) -> AccessResult:
-        """Multi-resolution window query against the access method."""
+        """Multi-resolution window query as per-record views."""
         return self.access_method.query(region, w_min, w_max)
 
     def query_region_rows(
         self, region: Box, w_min: float, w_max: float
     ) -> RowResult:
-        """The same window query returning row ids into :attr:`store`.
-
-        For the columnar method this is one vector pass.  For the tree
-        methods the traversal runs as before and the hits are mapped to
-        rows, so result sets (and I/O accounting) are unchanged -- only
-        the downstream merge/filter work becomes vectorised.
-        """
-        method = self.access_method
-        if isinstance(
-            method,
-            (ColumnarAccessMethod, PackedAccessMethod, DynamicAccessMethod),
-        ):
-            return method.query_rows(region, w_min, w_max)
-        result = method.query(region, w_min, w_max)
-        if result.records:
-            keys = np.fromiter(
-                (
-                    pack_uid(r.object_id, r.key.level, r.key.index)
-                    for r in result.records
-                ),
-                dtype=np.int64,
-                count=len(result.records),
-            )
-            rows = self.store.rows_for_packed(keys)
-        else:
-            rows = np.empty(0, dtype=np.int64)
-        return RowResult(rows=rows, io=result.io)
+        """The same window query returning row ids into :attr:`store`."""
+        return self.access_method.query_rows(region, w_min, w_max)
 
     # -- block interface for the buffer layer ------------------------------------------
 

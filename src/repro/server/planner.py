@@ -47,9 +47,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError, IndexError_
 from repro.geometry.box import Box
-from repro.index.columnar import RowResult
 from repro.index.dynamic import DynamicAccessMethod
-from repro.index.packed import PackedAccessMethod
+from repro.index.packed import PackedAccessMethod, RowResult
 from repro.store.scene import FootprintDelta
 
 __all__ = ["FrontierPlanner", "PlannerCounters", "DEFAULT_MARGIN_FRAC"]

@@ -42,14 +42,14 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.geometry.box import Box
-from repro.index.columnar import RowResult
 from repro.index.dynamic import (
     DEFAULT_DRIFT_BUDGET,
     DynamicAccessMethod,
     EpochView,
 )
+from repro.index.packed import RowResult
 from repro.index.rtree import DEFAULT_NODE_CAPACITY
-from repro.server.database import AnyAccessMethod, ObjectDatabase, StoredObject
+from repro.server.database import ObjectDatabase, StoredObject
 from repro.store.columns import CoefficientStore
 from repro.store.scene import FootprintDelta, SceneDelta, SceneStore
 from repro.wavelets.analysis import WaveletDecomposition
@@ -82,27 +82,16 @@ class SceneDatabase(ObjectDatabase):
         self,
         *,
         encoding: EncodingModel = DEFAULT_ENCODING,
-        access_method: str = "packed",
         spatial_dims: int = 2,
         max_entries: int = DEFAULT_NODE_CAPACITY,
         drift_budget: float = DEFAULT_DRIFT_BUDGET,
         retained_epochs: int = DEFAULT_RETAINED_EPOCHS,
     ) -> None:
-        if access_method != "packed":
-            raise WorkloadError(
-                "a scene database always indexes through the dynamic "
-                f"packed index; access_method {access_method!r} is not "
-                "supported"
-            )
         if retained_epochs < 1:
             raise WorkloadError(
                 f"retained_epochs must be >= 1, got {retained_epochs}"
             )
-        super().__init__(
-            encoding=encoding,
-            access_method="packed",
-            spatial_dims=spatial_dims,
-        )
+        super().__init__(encoding=encoding, spatial_dims=spatial_dims)
         self._max_entries = max_entries
         self._drift_budget = drift_budget
         self._retained_epochs = retained_epochs
@@ -174,7 +163,7 @@ class SceneDatabase(ObjectDatabase):
     # -- the access method --------------------------------------------------
 
     @property
-    def access_method(self) -> AnyAccessMethod:
+    def access_method(self) -> DynamicAccessMethod:
         """The (lazily built) dynamic packed index over the scene.
 
         The grid layout is fitted once, at build time, and reused for
@@ -203,9 +192,7 @@ class SceneDatabase(ObjectDatabase):
     @property
     def dynamic_index(self) -> DynamicAccessMethod:
         """The live dynamic index (building it if needed)."""
-        method = self.access_method
-        assert isinstance(method, DynamicAccessMethod)
-        return method
+        return self.access_method
 
     @property
     def pinned_epochs(self) -> tuple[int, ...]:

@@ -47,6 +47,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.geometry.box import Box
+from repro.index.packed import (
+    RowResult,
+    corners_query_batch,
+    region_corners,
+)
 from repro.net.messages import (
     LATEST_EPOCH,
     BaseMeshPayload,
@@ -56,8 +61,6 @@ from repro.net.messages import (
     RetrieveRequest,
     RetrieveResponse,
 )
-from repro.index.columnar import RowResult
-from repro.index.packed import corners_query_batch, region_corners
 from repro.server.database import ObjectDatabase
 from repro.server.planner import FrontierPlanner
 from repro.store.columns import CoefficientStore
@@ -116,7 +119,8 @@ class Server:
         # because warm frames bill fewer node reads than the cold walk,
         # which would break I/O-accounting parity with the per-record
         # reference path.  Silently degrades to cold traversal when the
-        # database's access method is not packed.
+        # database has no global packed index (a sharded database, whose
+        # coordinator plans per shard instead).
         self._plan_deltas = plan_deltas
         self._planner: FrontierPlanner | None = None
         # Per-client set of object ids whose base mesh has been shipped,
@@ -176,11 +180,11 @@ class Server:
         """The live frame-delta planner, or None when it cannot apply.
 
         Built lazily (constructing it forces the index build) and torn
-        down and rebuilt whenever the database swaps its access method
-        -- e.g. after ``add_object`` invalidates the index -- so memos
+        down and rebuilt whenever the database rebuilds its index
+        -- e.g. after ``add_object`` invalidates it -- so memos
         never outlive the packed arrays they point into.
         """
-        if not self._plan_deltas or not self._db.object_count:
+        if not self._plan_deltas:
             return None
         method = self._db.packed_access_method()
         if method is None:
@@ -215,7 +219,7 @@ class Server:
 
         The canonical delivery order decouples responses from the
         access method's traversal order: any backend producing the same
-        row *set* (monolithic tree, columnar scan, sharded
+        row *set* (static or dynamic packed index, sharded
         scatter-gather) yields a bit-identical response.  ``store`` is
         the row space the result indexes into -- the live store by
         default, a pinned epoch's view for as-of-epoch answers.
@@ -470,8 +474,9 @@ class Server:
         queries, ``qid`` the block each row answers and ``node_reads``
         the per-block I/O.  A live packed index answers the whole list
         in one shared frontier walk; frame-delta planning (memos are
-        per-client warm state, not batchable) and the other access
-        methods run the serial per-block :meth:`_region_rows` loop.
+        per-client warm state, not batchable) and a database without a
+        global packed index (a sharded one served by a plain server) run
+        the serial per-block :meth:`_region_rows` loop.
         """
         method = self._db.packed_access_method()
         if method is not None and self.planner is None:

@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.fleet import FleetTick
 from repro.errors import ShardError
 from repro.geometry.box import Box
-from repro.index.columnar import RowResult
+from repro.index.packed import RowResult
 from repro.net.messages import (
     LATEST_EPOCH,
     RetrieveBatchResponse,

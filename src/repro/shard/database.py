@@ -46,8 +46,7 @@ import numpy as np
 from repro.errors import IndexError_, ShardError
 from repro.geometry.box import Box
 from repro.index.access import AccessResult
-from repro.index.columnar import RowResult
-from repro.index.packed import region_corners, subquery_corners
+from repro.index.packed import RowResult, region_corners, subquery_corners
 from repro.index.stats import IOStats
 from repro.server.database import AnyAccessMethod, ObjectDatabase, StoredObject
 from repro.shard.mapping import ShardMap
@@ -96,9 +95,7 @@ class ShardedDatabase(ObjectDatabase):
 
     def __init__(self, source: ObjectDatabase, shard_map: ShardMap) -> None:
         super().__init__(
-            encoding=source.encoding,
-            access_method="packed",
-            spatial_dims=source.spatial_dims,
+            encoding=source.encoding, spatial_dims=source.spatial_dims
         )
         objects = source.objects
         if not objects:
@@ -168,10 +165,7 @@ class ShardedDatabase(ObjectDatabase):
     ) -> ObjectDatabase:
         """Build one shard's database; the scene variant overrides this."""
         return ObjectDatabase.from_objects(
-            objects,
-            encoding=self._encoding,
-            access_method="packed",
-            spatial_dims=self._spatial_dims,
+            objects, encoding=self._encoding, spatial_dims=self._spatial_dims
         )
 
     def slice_uid_step(self, shard: int) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import ShardError
 from repro.geometry.box import Box
-from repro.index.columnar import RowResult
+from repro.index.packed import RowResult
 from repro.server.database import ObjectDatabase, StoredObject
 from repro.server.scene import SceneDatabase
 from repro.shard.database import ShardedDatabase
@@ -97,10 +97,7 @@ class ShardedSceneDatabase(ShardedDatabase):
         self, objects: "Iterable[StoredObject]"
     ) -> ObjectDatabase:
         return SceneDatabase.from_objects(
-            objects,
-            encoding=self._encoding,
-            access_method="packed",
-            spatial_dims=self._spatial_dims,
+            objects, encoding=self._encoding, spatial_dims=self._spatial_dims
         )
 
     # -- derived state ------------------------------------------------------

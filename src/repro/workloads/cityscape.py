@@ -116,17 +116,11 @@ def build_city(
     config: CityConfig,
     *,
     encoding: EncodingModel = DEFAULT_ENCODING,
-    access_method: str = "packed",
     spatial_dims: int = 2,
 ) -> ObjectDatabase:
     """Generate and decompose every object into a ready database."""
     return populate_city(
-        ObjectDatabase(
-            encoding=encoding,
-            access_method=access_method,
-            spatial_dims=spatial_dims,
-        ),
-        config,
+        ObjectDatabase(encoding=encoding, spatial_dims=spatial_dims), config
     )
 
 

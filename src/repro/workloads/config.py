@@ -31,9 +31,8 @@ PAPER_QUERY_FRACS = (0.05, 0.10, 0.15, 0.20)
 # Buffer sizes of Fig. 10.
 PAPER_BUFFER_KB = (16, 32, 64, 128)
 
-# Dataset sizes (paper MB -> object count at full scale).
+# Dataset sizes in paper MB (ExperimentScale.objects_for maps them to objects).
 PAPER_DATASETS_MB = (20, 40, 60, 80)
-_OBJECTS_PER_20MB_FULL = 100
 
 
 def _env_scale() -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -12,6 +13,8 @@ from repro.experiments.runner import (
     query_box_for,
     tour_suite,
 )
+from repro.index.access import MotionAwareAccessMethod
+from repro.store.uids import pack_uid
 from repro.workloads.config import ExperimentScale
 
 TINY = ExperimentScale(scale=0.4)
@@ -84,7 +87,35 @@ class TestCaches:
         assert len(tours[0]) == TINY.tour_steps + 1
 
     def test_query_box_for(self):
-        import numpy as np
-
         box = query_box_for(TINY.space, np.array([500.0, 500.0]), 0.1)
         assert box.extents[0] == pytest.approx(100.0)
+
+
+class TestPackedIndexAnswersTheFigures:
+    def test_rows_and_node_reads_match_the_object_tree(self):
+        """The figures' cities answer through the packed index; on one
+        tour's query frames it must return the object R*-tree's row set
+        and node accesses, which is what keeps the figures unchanged."""
+        clear_caches()
+        db = city_database(TINY)
+        tree = MotionAwareAccessMethod(db.all_records())
+        tour = tour_suite(TINY, "tram", speed=0.5)[0]
+        bands = (0.0, 0.25, 0.5, 0.9)
+        answered = 0
+        for i, position in enumerate(tour.positions):
+            box = query_box_for(TINY.space, position, 0.10)
+            w_min = bands[i % len(bands)]
+            packed = db.access_method.query_rows(box, w_min, 1.0)
+            walked = tree.query(box, w_min, 1.0)
+            keys = np.array(
+                [
+                    pack_uid(r.object_id, r.key.level, r.key.index)
+                    for r in walked.records
+                ],
+                dtype=np.int64,
+            )
+            rows = db.store.rows_for_packed(keys)
+            assert sorted(packed.rows.tolist()) == sorted(rows.tolist())
+            assert packed.io.node_reads == walked.io.node_reads
+            answered += int(packed.rows.size > 0)
+        assert answered  # the tour crosses objects, not only empty ground

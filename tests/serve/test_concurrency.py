@@ -30,6 +30,7 @@ from repro.serve import wire
 from repro.serve.client import ServeClient
 from repro.serve.framing import MessageTag, encode_frame, read_frame
 from repro.serve.service import ServeConfig
+from repro.server.database import ObjectDatabase
 from repro.server.server import Server
 from repro.store.uids import EMPTY_UIDS, UidSet
 
@@ -55,7 +56,7 @@ class TestClientIsolation:
         tours = {
             cid: tour_frames(steps=6, seed=cid) for cid in client_ids
         }
-        packed_city = tiny_city.with_access_method("packed")
+        packed_city = ObjectDatabase.from_objects(tiny_city.objects)
 
         mirror = Server(packed_city, plan_deltas=True)
         expected = {}

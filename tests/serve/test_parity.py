@@ -20,6 +20,7 @@ from repro.net.messages import (
 )
 from repro.serve import wire
 from repro.serve.client import ServeClient
+from repro.server.database import ObjectDatabase
 from repro.server.server import Server
 from repro.store.uids import EMPTY_UIDS, UidSet
 
@@ -117,7 +118,7 @@ class TestSocketParity:
     def test_delta_planner_path(self, tiny_city):
         """plan_deltas=True on both sides: the planner's warm-frame I/O
         accounting must survive the wire exactly."""
-        packed_city = tiny_city.with_access_method("packed")
+        packed_city = ObjectDatabase.from_objects(tiny_city.objects)
         frames = tour_frames(steps=10, seed=8)
         reference_server = Server(packed_city, plan_deltas=True)
         reference = drive_inprocess(reference_server, 22, frames)

@@ -3,7 +3,7 @@
 ``Server.execute_batch`` must reproduce the original per-record
 implementation bit for bit -- same records in the same first-occurrence
 merge order, same filtered-out accounting, same base-mesh shipping --
-on both the tree and the columnar access methods.
+and answer every frame with the uids a linear scan of the store finds.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 
 from repro.geometry.box import Box
 from repro.net.messages import RegionRequest, RetrieveRequest
-from repro.server.server import Server
 from repro.store.uids import EMPTY_UIDS, UidSet
 
 
@@ -85,20 +84,25 @@ class TestBatchParity:
         batch = drive(tiny_server, 12, to_batch=True)
         assert batch == per_record
 
-    def test_columnar_database_same_results(self, tiny_city, tiny_server):
-        """Columnar index: same record sets and bytes; only the delivery
-        order (store order vs tree-traversal order) and I/O model differ."""
-        columnar_server = Server(tiny_city.with_access_method("columnar"))
-        per_record = drive(tiny_server, 13, to_batch=False)
-        batch = drive(columnar_server, 14, to_batch=True)
-        for a, b in zip(per_record, batch):
-            assert set(a["uids"]) == set(b["uids"])
-            assert dict(zip(a["uids"], a["displacements"])) == dict(
-                zip(b["uids"], b["displacements"])
-            )
-            for field in ("payload_bytes", "filtered_out", "base_bytes"):
-                assert a[field] == b[field]
-            assert set(a["bases"]) == set(b["bases"])
+    def test_batch_uids_match_linear_scan(self, tiny_city, tiny_server):
+        """Every frame ships exactly the uids a linear scan of the store
+        answers for its regions, less those sent on earlier frames."""
+        store = tiny_city.store
+        sent: set = set()
+        for request, digest in zip(
+            tour_requests(13), drive(tiny_server, 13, to_batch=True)
+        ):
+            scanned = set()
+            for region in request.regions:
+                rows = store.filter_rows(
+                    region.region,
+                    region.w_min,
+                    region.w_max,
+                    half_open=region.half_open,
+                )
+                scanned |= {store.record(int(row)).uid for row in rows}
+            assert set(digest["uids"]) == scanned - sent
+            sent |= scanned
 
     def test_execute_is_the_batch_path(self, tiny_server):
         request = next(tour_requests(15))

@@ -8,7 +8,6 @@ import pytest
 from repro.errors import WorkloadError
 from repro.geometry.box import Box
 from repro.geometry.grid import Grid
-from repro.index.access import MotionAwareAccessMethod, NaivePointAccessMethod
 from repro.index.packed import PackedAccessMethod
 from repro.mesh.generators import procedural_building
 from repro.server.database import ObjectDatabase
@@ -65,22 +64,6 @@ class TestStorage:
 class TestAccessMethodChoice:
     def test_packed_default(self, db: ObjectDatabase):
         assert isinstance(db.access_method, PackedAccessMethod)
-
-    def test_motion_aware_variant(self):
-        database = ObjectDatabase(access_method="motion_aware")
-        hierarchy = procedural_building(np.random.default_rng(0), levels=1)
-        database.add_object(0, analyze_hierarchy(hierarchy))
-        assert isinstance(database.access_method, MotionAwareAccessMethod)
-
-    def test_naive_variant(self):
-        database = ObjectDatabase(access_method="naive")
-        hierarchy = procedural_building(np.random.default_rng(0), levels=1)
-        database.add_object(0, analyze_hierarchy(hierarchy))
-        assert isinstance(database.access_method, NaivePointAccessMethod)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(WorkloadError):
-            ObjectDatabase(access_method="btree")
 
     def test_index_invalidated_on_add(self, db: ObjectDatabase):
         first = db.access_method

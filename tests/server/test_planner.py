@@ -14,14 +14,16 @@ from repro.errors import ConfigurationError
 from repro.geometry.box import Box
 from repro.index.packed import PackedAccessMethod
 from repro.net.messages import RegionRequest, RetrieveRequest
+from repro.server.database import ObjectDatabase
 from repro.server.planner import FrontierPlanner
 from repro.server.server import Server
+from repro.shard.database import ShardedDatabase
 from repro.store.uids import EMPTY_UIDS
 
 
 @pytest.fixture(scope="module")
 def method(tiny_city) -> PackedAccessMethod:
-    packed = tiny_city.with_access_method("packed").access_method
+    packed = ObjectDatabase.from_objects(tiny_city.objects).access_method
     assert isinstance(packed, PackedAccessMethod)
     return packed
 
@@ -135,12 +137,12 @@ class TestServerWiring:
 
     def test_planner_absent_by_default_and_for_other_methods(self, tiny_city):
         assert Server(tiny_city).planner is None
-        columnar = Server(
-            tiny_city.with_access_method("columnar"), plan_deltas=True
+        sharded = Server(
+            ShardedDatabase.from_database(tiny_city, 2), plan_deltas=True
         )
-        assert columnar.planner is None  # degrades to cold traversal
+        assert sharded.planner is None  # degrades to cold traversal
         box = Box((0.0, 0.0), (1000.0, 1000.0))
-        response = columnar.execute_batch(RetrieveRequest(
+        response = sharded.execute_batch(RetrieveRequest(
             timestamp=0.0, client_id=1,
             regions=(RegionRequest(box, 0.0, 1.0),),
             exclude_uids=EMPTY_UIDS,

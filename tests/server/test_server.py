@@ -204,16 +204,10 @@ def moved_scene(city) -> SceneDatabase:
 
 #: Every backend ``quote_blocks`` must price identically to the loop on:
 #: the batched walk (static and dynamic packed index) and the serial
-#: fallbacks (frame-delta planning, non-packed access methods).
+#: fallback (frame-delta planning).
 BACKENDS = {
     "packed": lambda city: lambda: Server(city),
     "planner": lambda city: lambda: Server(city, plan_deltas=True),
-    "object_tree": lambda city: (
-        lambda db=city.with_access_method("motion_aware"): Server(db)
-    ),
-    "columnar": lambda city: (
-        lambda db=city.with_access_method("columnar"): Server(db)
-    ),
     "scene_after_epoch": lambda city: (
         lambda db=moved_scene(city): Server(db)
     ),

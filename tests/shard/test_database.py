@@ -18,7 +18,6 @@ from repro.geometry.box import Box
 from repro.server.database import ObjectDatabase
 from repro.shard import (
     SerialShardExecutor,
-    ShardCornerTask,
     ShardMap,
     ShardedDatabase,
 )
@@ -157,25 +156,14 @@ else:  # pragma: no cover - depends on the environment
 
 
 def scatter_corners(db: ShardedDatabase, queries):
-    """Plan + scatter a corner batch the way the fleet tick does."""
+    """Plan + scatter a corner batch through the fleet tick's scatter."""
     qlow = np.array(
         [[*region.low, w_min] for region, w_min, _ in queries], dtype=float
     )
     qhigh = np.array(
         [[*region.high, w_max] for region, _, w_max in queries], dtype=float
     )
-    hits = db.plan_corners(qlow, qhigh)
-    tasks, assignments = [], []
-    for shard in range(db.shard_count):
-        indices = np.flatnonzero(hits[:, shard])
-        if indices.size:
-            tasks.append(
-                ShardCornerTask(
-                    shard=shard, qlow=qlow[indices], qhigh=qhigh[indices]
-                )
-            )
-            assignments.append(indices)
-    return assignments, db.executor.run(tasks)
+    return db.scatter(qlow, qhigh)
 
 
 def assert_flat_matches_assemble(db: ShardedDatabase, queries) -> None:

@@ -188,6 +188,10 @@ class TestAccessMethodEquivalence:
     def test_query_result_independent_of_access_method(self, tiny_city):
         """Server responses carry the same *sufficient* data under both
         methods for fully contained objects."""
+        from repro.index.access import (
+            MotionAwareAccessMethod,
+            NaivePointAccessMethod,
+        )
         from repro.workloads.cityscape import CityConfig, build_city
 
         space = Box((0.0, 0.0), (1000.0, 1000.0))
@@ -195,17 +199,14 @@ class TestAccessMethodEquivalence:
             space=space, object_count=4, levels=2, seed=55,
             min_size_frac=0.02, max_size_frac=0.04,
         )
-        db_motion = build_city(config, access_method="motion_aware")
-        db_naive = build_city(config, access_method="naive")
+        records = build_city(config).all_records()
+        motion = MotionAwareAccessMethod(records)
+        naive = NaivePointAccessMethod(records)
         region = Box((0, 0), (1000, 1000))
-        got_m = {
-            r.uid for r in db_motion.query_region(region, 0.0, 1.0).records
-        }
-        got_n = {
-            r.uid for r in db_naive.query_region(region, 0.0, 1.0).records
-        }
+        got_m = {r.uid for r in motion.query(region, 0.0, 1.0).records}
+        got_n = {r.uid for r in naive.query(region, 0.0, 1.0).records}
         # Over the whole space both must return every record.
-        assert got_m == got_n == {r.uid for r in db_motion.all_records()}
+        assert got_m == got_n == {r.uid for r in records}
 
 
 class TestMapperIntegration:

@@ -115,12 +115,3 @@ class TestBuildCity:
         assert all(
             o.decomposition.base.vertex_count == 12 for o in all_landmarks.objects
         )
-
-    def test_naive_access_method_propagated(self):
-        from repro.index.access import NaivePointAccessMethod
-
-        db = build_city(
-            CityConfig(space=SPACE, object_count=3, levels=1, seed=5),
-            access_method="naive",
-        )
-        assert isinstance(db.access_method, NaivePointAccessMethod)
