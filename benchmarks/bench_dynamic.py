@@ -28,7 +28,14 @@ The churn section reports end-to-end :meth:`SceneDatabase.advance_epoch`
 latency quantiles -- store apply, index patch, epoch pin and cache
 drop together -- which is the number a serving layer sees between two
 consistent scene versions.  Absolute quantiles are machine-dependent
-and are not gated.
+and are not gated.  It also reports retention: ``retained_store_views``
+counts the epoch store views still reachable after the churn (the
+pinned window plus the seed, not one per epoch), and
+``identical_pinned_views_vs_replay`` pins that every pinned epoch's view
+equals a standalone replay of the same deltas, bit for bit.
+
+Every timed region starts from a collected, frozen heap
+(``settle_gc``), so no timing includes a full garbage collection.
 
 Run directly (not under pytest)::
 
@@ -40,19 +47,23 @@ Run directly (not under pytest)::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from bench_fleet import machine_context, settle_gc  # sibling script: one definition
 from repro.geometry.box import Box
 from repro.index.dynamic import DynamicPackedIndex
 from repro.index.packed import PackedAccessMethod
 from repro.server.scene import SceneDatabase
+from repro.store.scene import SceneDelta, SceneStore
 from repro.workloads.cityscape import CityConfig, populate_city
 from repro.workloads.dynamics import rush_hour_deltas
 
@@ -107,9 +118,11 @@ def measure_incremental(config: CityConfig, epochs: int, seed: int) -> dict:
         delta = factory(k)
         assert delta is not None
         footprint = scene.apply(delta)
+        settle_gc()
         started = time.perf_counter()
         method.apply(scene.latest, footprint)
         incremental_s.append(time.perf_counter() - started)
+        settle_gc()
         started = time.perf_counter()
         fresh = DynamicPackedIndex(
             scene.latest, max_entries=capacity, grid=grid
@@ -120,6 +133,7 @@ def measure_incremental(config: CityConfig, epochs: int, seed: int) -> dict:
     # the final store instead of paying the bulk load every epoch.
     rebuild_s: list[float] = []
     for _ in range(3):
+        settle_gc()
         started = time.perf_counter()
         PackedAccessMethod(
             scene.latest, spatial_dims=2, max_entries=capacity
@@ -144,23 +158,41 @@ def measure_incremental(config: CityConfig, epochs: int, seed: int) -> dict:
 
 
 def measure_churn(config: CityConfig, epochs: int, seed: int) -> dict:
-    """End-to-end ``advance_epoch`` latency quantiles under churn."""
+    """``advance_epoch`` latency quantiles and retention under churn."""
     db = build_scene(config)
     db.dynamic_index  # seal + compile outside the timed region
     factory = rush_hour_deltas(fleet_ids(db), amplitude=AMPLITUDE, seed=seed)
+    views = [weakref.ref(db.store.data)]
+    deltas: list[SceneDelta] = []
     latencies: list[float] = []
     for k in range(epochs):
         delta = factory(k)
         assert delta is not None
+        deltas.append(delta)
+        settle_gc()
         started = time.perf_counter()
         db.advance_epoch(delta)
         latencies.append(time.perf_counter() - started)
+        views.append(weakref.ref(db.store.data))
+    gc.collect()
+    replay = SceneStore(db.scene.at_epoch(0))  # the seed is always kept
+    identical = True
+    for epoch, delta in enumerate(deltas, start=1):
+        replay.apply(delta)
+        if epoch in db.pinned_epochs:
+            identical &= (
+                db.store_at(epoch).data.tobytes()
+                == replay.at_epoch(epoch).data.tobytes()
+            )
     ordered = np.sort(np.asarray(latencies))
     return {
         "epochs": epochs,
         "p50_ms": round(float(np.percentile(ordered, 50)) * 1e3, 4),
         "p95_ms": round(float(np.percentile(ordered, 95)) * 1e3, 4),
         "max_ms": round(float(ordered[-1]) * 1e3, 4),
+        "pinned_epochs": len(db.pinned_epochs),
+        "retained_store_views": sum(view() is not None for view in views),
+        "identical_pinned_views_vs_replay": bool(identical),
     }
 
 
@@ -171,12 +203,14 @@ def run(smoke: bool) -> dict:
             min_size_frac=0.02, max_size_frac=0.05,
         )
         epochs = 12
+        # Past the retained window, so the smoke run sees releases too.
+        churn_epochs = 24
     else:
         config = CityConfig(
             space=SPACE, object_count=64, levels=3, seed=19,
             min_size_frac=0.02, max_size_frac=0.05,
         )
-        epochs = 40
+        epochs = churn_epochs = 40
     db = build_scene(config)
     return {
         "config": {
@@ -188,8 +222,9 @@ def run(smoke: bool) -> dict:
             "amplitude": AMPLITUDE,
             "smoke": smoke,
         },
+        "machine": machine_context(),
         "incremental": measure_incremental(config, epochs, seed=7),
-        "churn": measure_churn(config, epochs, seed=7),
+        "churn": measure_churn(config, churn_epochs, seed=7),
     }
 
 
@@ -212,6 +247,21 @@ def main() -> int:
     if not result["incremental"]["identical_incremental_vs_rebuild"]:
         print(
             "FAIL: incrementally patched index diverged from rebuild",
+            file=sys.stderr,
+        )
+        return 1
+    churn = result["churn"]
+    if not churn["identical_pinned_views_vs_replay"]:
+        print(
+            "FAIL: a pinned epoch's store view diverged from its replay",
+            file=sys.stderr,
+        )
+        return 1
+    if churn["retained_store_views"] > churn["pinned_epochs"] + 1:
+        print(
+            f"FAIL: {churn['retained_store_views']} store views outlived "
+            f"the churn; only the {churn['pinned_epochs']} pinned epochs "
+            "and the seed may",
             file=sys.stderr,
         )
         return 1

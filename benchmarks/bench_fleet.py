@@ -39,6 +39,7 @@ of the configuration, so a changed digit is a changed decision.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -89,6 +90,17 @@ def machine_context() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
+
+
+def settle_gc() -> None:
+    """Collect now, then freeze the survivors before a timed region.
+
+    Without this a timed region pays for whichever generation-2
+    collection happens to fall inside it, walking the whole city's
+    object graph built before the timer started.
+    """
+    gc.collect()
+    gc.freeze()
 
 
 def without_wall(curve: list[dict]) -> list[dict]:

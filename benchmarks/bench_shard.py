@@ -19,7 +19,9 @@ retrieve requests against three server stacks, and reports:
   tick at full scale).
 
 Before any timing, responses of every stack are digested and compared,
-so the reported speedups are for *identical* answers.
+so the reported speedups are for *identical* answers.  Every timed
+region starts from a collected, frozen heap (``settle_gc``), so no
+timing includes a full garbage collection of the city.
 
 Run directly (not under pytest)::
 
@@ -40,7 +42,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bench_fleet import machine_context  # sibling script: one definition
+from bench_fleet import machine_context, settle_gc  # sibling script: one definition
 from repro.core.fleet import make_flat_ticks
 from repro.geometry.box import Box
 from repro.net.messages import RegionRequest, RetrieveRequest
@@ -106,6 +108,7 @@ def digest(responses) -> list[tuple]:
 def time_baseline(city, requests) -> tuple[float, list[tuple]]:
     server = Server(city)
     server.execute_batch(requests[0])  # warm the index build
+    settle_gc()
     started = time.perf_counter()
     responses = [server.execute_batch(r) for r in requests]
     return time.perf_counter() - started, digest(responses)
@@ -114,6 +117,7 @@ def time_baseline(city, requests) -> tuple[float, list[tuple]]:
 def time_sharded(city, requests, shards: int) -> tuple[float, list[tuple]]:
     coordinator = ShardCoordinator(ShardedDatabase.from_database(city, shards))
     coordinator.execute_many(requests[:1])  # warm the indexes
+    settle_gc()
     started = time.perf_counter()
     responses = coordinator.execute_many(requests)
     return time.perf_counter() - started, digest(responses)
@@ -157,6 +161,7 @@ def time_fleet_ticks(city, shards: int, clients: int, tick_count: int) -> dict:
     shipping = fleet.fleet_shipping(clients)
     fleet.execute_fleet_tick(ticks[0], fleet.fleet_shipping(clients))
     rows = payload = 0
+    settle_gc()
     started = time.perf_counter()
     for tick in ticks:
         result = fleet.execute_fleet_tick(tick, shipping)
@@ -182,6 +187,7 @@ def time_fleet_per_request(
         max_clients=max(clients, 1024),
     )
     coordinator.execute_many(ticks[0].to_requests())
+    settle_gc()
     started = time.perf_counter()
     for tick in ticks:
         coordinator.execute_many(tick.to_requests())

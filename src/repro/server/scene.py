@@ -25,6 +25,15 @@ recompute, billing I/O against the same counter as live queries.  Row
 ids returned for a pinned epoch index into :meth:`store_at` of that
 epoch.
 
+The pins are also what bounds memory.  Every epoch's store view is a
+full copy of the scene's rows, so when a pin is evicted the database
+releases that epoch's view from its :class:`~repro.store.scene.SceneStore`
+as well: a long-running scene holds ``retained_epochs`` views (plus
+the seed, which replays keep), not one per epoch ever applied.
+:meth:`store_at` and :meth:`query_region_rows_at` answer the same
+epochs -- the current one and the pinned ones -- and raise the same
+:class:`~repro.errors.WorkloadError` for any other.
+
 Objects that change after sealing register their new decomposition via
 :meth:`register_epoch_object`, which returns the coefficient rows to
 put in the delta; the object table keeps every incarnation's base mesh
@@ -57,10 +66,8 @@ from repro.wavelets.encoding import DEFAULT_ENCODING, EncodingModel
 
 __all__ = ["SceneDatabase", "DEFAULT_RETAINED_EPOCHS"]
 
-#: How many epochs' pinned index views a scene database keeps by
-#: default.  Store snapshots are retained for *every* epoch (they share
-#: unchanged rows only logically, but are small); the pinned index
-#: views bound what can be *queried* as-of-epoch.
+#: How many trailing epochs a scene database keeps answerable by
+#: default: their pinned index views and their store views.
 DEFAULT_RETAINED_EPOCHS = 16
 
 
@@ -71,7 +78,8 @@ class SceneDatabase(ObjectDatabase):
     ----------
     retained_epochs:
         How many trailing epochs stay queryable through
-        :meth:`query_region_rows_at`; older pins are evicted.
+        :meth:`query_region_rows_at` and :meth:`store_at`; older pins
+        are evicted and their store views released.
     max_entries / drift_budget:
         Forwarded to the dynamic index (node capacity; the fraction of
         occupied grid cells a patch may dirty before the index falls
@@ -187,7 +195,8 @@ class SceneDatabase(ObjectDatabase):
         assert self._dynamic is not None
         self._pinned[epoch] = self._dynamic.pin()
         while len(self._pinned) > self._retained_epochs:
-            self._pinned.popitem(last=False)
+            evicted, _ = self._pinned.popitem(last=False)
+            self.scene.release(evicted)
 
     @property
     def dynamic_index(self) -> DynamicAccessMethod:
@@ -206,11 +215,8 @@ class SceneDatabase(ObjectDatabase):
         return self._scene.epoch if self._scene is not None else 0
 
     def store_at(self, epoch: int) -> CoefficientStore:
-        if not 0 <= epoch <= self.current_epoch:
-            raise WorkloadError(
-                f"epoch {epoch} outside recorded range "
-                f"[0, {self.current_epoch}]"
-            )
+        if epoch != self.current_epoch:
+            self._pinned_view(epoch)  # raises unless still answerable
         return self.scene.at_epoch(epoch)
 
     def query_region_rows_at(
@@ -218,6 +224,10 @@ class SceneDatabase(ObjectDatabase):
     ) -> RowResult:
         if epoch == self.current_epoch:
             return self.query_region_rows(region, w_min, w_max)
+        return self._pinned_view(epoch).query_rows(region, w_min, w_max)
+
+    def _pinned_view(self, epoch: int) -> EpochView:
+        """The pin of a past ``epoch``, or the error naming why not."""
         if not 0 <= epoch < self.current_epoch:
             raise WorkloadError(
                 f"epoch {epoch} outside recorded range "
@@ -229,7 +239,7 @@ class SceneDatabase(ObjectDatabase):
                 f"epoch {epoch} is no longer retained (keeping the last "
                 f"{self._retained_epochs})"
             )
-        return view.query_rows(region, w_min, w_max)
+        return view
 
     def advance_epoch(self, delta: SceneDelta) -> FootprintDelta:
         """Apply one delta: store, index, caches, pin -- one step.

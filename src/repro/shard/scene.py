@@ -24,7 +24,10 @@ uid-sorted), the per-shard planning bounds are recomputed from the new
 columns, and the executor is re-bound to the re-based slices.
 
 As-of-epoch queries bypass the scatter entirely and answer from the
-global scene database's retained epoch views.
+global scene database's retained epoch views.  A slice therefore keeps
+no as-of history: it pins only its current epoch, so each step releases
+the slice's previous store view and a slice holds one epoch (plus its
+seed) however long the scene runs.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.store.columns import CoefficientStore
 from repro.store.scene import FootprintDelta, SceneDelta
 from repro.store.uids import sorted_isin, sorted_unique
 from repro.wavelets.analysis import WaveletDecomposition
+from repro.wavelets.encoding import DEFAULT_ENCODING, EncodingModel
 
 __all__ = ["ShardedSceneDatabase"]
 
@@ -63,6 +67,24 @@ def _restrict_delta(delta: SceneDelta, member_ids: np.ndarray) -> SceneDelta:
             sorted_isin(delta.remesh_rows["object_id"], member_ids)
         ],
     )
+
+
+class _SliceSceneDatabase(SceneDatabase):
+    """A shard's scene database: it answers the current epoch only.
+
+    Past epochs are answered by the global source, never by a slice,
+    so a slice retains a single epoch.
+    """
+
+    def __init__(
+        self,
+        *,
+        encoding: EncodingModel = DEFAULT_ENCODING,
+        spatial_dims: int = 2,
+    ) -> None:
+        super().__init__(
+            encoding=encoding, spatial_dims=spatial_dims, retained_epochs=1
+        )
 
 
 class ShardedSceneDatabase(ShardedDatabase):
@@ -96,7 +118,7 @@ class ShardedSceneDatabase(ShardedDatabase):
     def _slice_database(
         self, objects: "Iterable[StoredObject]"
     ) -> ObjectDatabase:
-        return SceneDatabase.from_objects(
+        return _SliceSceneDatabase.from_objects(
             objects, encoding=self._encoding, spatial_dims=self._spatial_dims
         )
 

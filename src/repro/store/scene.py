@@ -16,7 +16,8 @@ that lets geometry change while keeping every view consistent:
 * :class:`SceneStore` -- the version chain.  ``apply(delta)`` advances
   the scene one epoch and returns a :class:`FootprintDelta`;
   ``at_epoch(e)`` returns an immutable, fully consistent
-  :class:`CoefficientStore` snapshot for any recorded epoch.
+  :class:`CoefficientStore` snapshot for any recorded epoch whose view
+  has not been released (``release(e)``).
 * :class:`FootprintDelta` -- the change summary consumed upstream: the
   object ids whose footprints changed plus their dirty spatial bounds
   (the union of the before and after support boxes), which is exactly
@@ -42,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import StoreError
-from repro.geometry.box import Box
 from repro.store.columns import COEFF_DTYPE, CoefficientStore
 from repro.store.uids import (
     pack_uid_arrays,
@@ -244,30 +244,36 @@ class SceneStore:
     """An epoch-versioned coefficient store.
 
     Epoch 0 is the seed snapshot; each :meth:`apply` records one
-    :class:`SceneDelta` and materialises the next epoch's columns.  Any
-    recorded epoch stays addressable through :meth:`at_epoch` -- views
-    are immutable :class:`CoefficientStore` instances, so everything
-    built for a static store (indexes, access methods, servers) runs
-    unchanged against a pinned epoch.
+    :class:`SceneDelta` and materialises the next epoch's columns.  A
+    recorded epoch stays addressable through :meth:`at_epoch` until its
+    owner releases it (:meth:`release`) -- views are immutable
+    :class:`CoefficientStore` instances, so everything built for a
+    static store (indexes, access methods, servers) runs unchanged
+    against a pinned epoch.  The store never releases a view by itself:
+    a standalone scene keeps every epoch, and an owner that only
+    answers a window of recent epochs (a
+    :class:`~repro.server.scene.SceneDatabase`) releases the rest.  The
+    seed and the latest view always stay, and so does the delta log, so
+    :meth:`rebuilt_at` can replay any epoch.
     """
 
-    __slots__ = ("_views", "_deltas", "_footprints")
+    __slots__ = ("_views", "_deltas")
 
     def __init__(self, base: CoefficientStore) -> None:
-        self._views: list[CoefficientStore] = [_canonical_store(base)]
+        # epoch -> view, ascending; released epochs are absent.
+        self._views: dict[int, CoefficientStore] = {0: _canonical_store(base)}
         self._deltas: list[SceneDelta] = []
-        self._footprints: list[FootprintDelta] = []
 
     # -- accessors ---------------------------------------------------------
 
     @property
     def epoch(self) -> int:
         """The latest recorded epoch (0 for a fresh scene)."""
-        return len(self._views) - 1
+        return len(self._deltas)
 
     @property
     def latest(self) -> CoefficientStore:
-        return self._views[-1]
+        return self._views[self.epoch]
 
     def at_epoch(self, epoch: int) -> CoefficientStore:
         """The consistent columnar view as of ``epoch``."""
@@ -275,29 +281,34 @@ class SceneStore:
             raise StoreError(
                 f"epoch {epoch} outside recorded range [0, {self.epoch}]"
             )
-        return self._views[epoch]
-
-    def delta(self, epoch: int) -> SceneDelta:
-        """The delta that produced ``epoch`` from ``epoch - 1``."""
-        if not 1 <= epoch <= self.epoch:
+        view = self._views.get(epoch)
+        if view is None:
             raise StoreError(
-                f"no delta recorded for epoch {epoch} (range [1, {self.epoch}])"
+                f"epoch {epoch} was released; retained epochs are "
+                f"{list(self._views)}"
             )
-        return self._deltas[epoch - 1]
+        return view
 
-    def footprint_delta(self, epoch: int) -> FootprintDelta:
-        """The footprint summary of the delta that produced ``epoch``."""
-        if not 1 <= epoch <= self.epoch:
+    def release(self, epoch: int) -> None:
+        """Drop the view of ``epoch``; later :meth:`at_epoch` calls raise.
+
+        The seed view is kept (it is :meth:`rebuilt_at`'s starting
+        point), so releasing epoch 0 is a no-op, as is releasing an
+        epoch twice.  The latest view cannot be released.
+        """
+        if not 0 <= epoch < self.epoch:
             raise StoreError(
-                f"no delta recorded for epoch {epoch} (range [1, {self.epoch}])"
+                f"cannot release epoch {epoch}: releasable range is "
+                f"[0, {self.epoch - 1}]"
             )
-        return self._footprints[epoch - 1]
+        if epoch:
+            self._views.pop(epoch, None)
 
     # -- epoch application -------------------------------------------------
 
     def apply(self, delta: SceneDelta) -> FootprintDelta:
         """Advance one epoch; returns the footprint change summary."""
-        prev = self._views[-1]
+        prev = self.latest
         data = prev.data
         present = sorted_unique(data["object_id"])
         self._validate_against(present, delta)
@@ -332,12 +343,10 @@ class SceneStore:
             raise StoreError("delta application produced duplicate uids")
         view = CoefficientStore(np.ascontiguousarray(fresh[order]))
 
-        footprint = self._footprint(
-            len(self._views), prev.data, view.data, delta
-        )
-        self._views.append(view)
+        epoch = self.epoch + 1
+        footprint = self._footprint(epoch, prev.data, view.data, delta)
+        self._views[epoch] = view
         self._deltas.append(delta)
-        self._footprints.append(footprint)
         return footprint
 
     @staticmethod
@@ -399,15 +408,6 @@ class SceneStore:
         for delta in self._deltas[:epoch]:
             replay.apply(delta)
         return replay.at_epoch(epoch)
-
-    def bounds_at(self, epoch: int) -> Box | None:
-        """The support extent of the whole scene at ``epoch``."""
-        view = self.at_epoch(epoch)
-        if len(view) == 0:
-            return None
-        return Box(
-            view.support_low.min(axis=0), view.support_high.max(axis=0)
-        )
 
     def __repr__(self) -> str:
         return (

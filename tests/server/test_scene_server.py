@@ -9,13 +9,16 @@ footprint changed.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.errors import ProtocolError, WorkloadError
+from repro.errors import ProtocolError, StoreError, WorkloadError
 from repro.geometry.box import Box
 from repro.net.messages import LATEST_EPOCH, RegionRequest, RetrieveRequest
-from repro.server.scene import SceneDatabase
+from repro.server.scene import DEFAULT_RETAINED_EPOCHS, SceneDatabase
 from repro.server.server import Server
 from repro.store.scene import SceneDelta
 from repro.store.uids import EMPTY_UIDS
@@ -123,6 +126,43 @@ class TestAsOfEpoch:
                 got.batch.uids.packed,
                 np.sort(want_store.packed_uids),
             )
+
+
+class TestRetention:
+    """The database holds only the epochs it can still answer."""
+
+    def test_evicted_epoch_view_is_freed(self, tiny_city):
+        db = scene_db(tiny_city)
+        server = Server(db, plan_deltas=True)
+        moved = int(db.store.object_ids[0])
+        server.advance_epoch(move(moved))
+        server.execute_batch(full_request(epoch=1))
+        view = weakref.ref(db.store_at(1).data)
+        for k in range(DEFAULT_RETAINED_EPOCHS + 1):
+            server.advance_epoch(move(moved, (3.0 * (-1) ** k, 0.0, 0.0)))
+            server.execute_batch(full_request(client_id=2))
+        gc.collect()
+        assert view() is None
+        assert db.scene.at_epoch(0) is not None  # the seed stays
+
+    def test_released_epoch_raises_everywhere(self, tiny_city):
+        db = scene_db(tiny_city, retained_epochs=2)
+        server = Server(db)
+        moved = int(db.store.object_ids[0])
+        for k in range(4):
+            server.advance_epoch(move(moved, (5.0 * (-1) ** k, 0.0, 0.0)))
+        assert db.pinned_epochs == (3, 4)
+        for epoch in (0, 1, 2):
+            with pytest.raises(WorkloadError, match="no longer retained"):
+                db.store_at(epoch)
+            with pytest.raises(WorkloadError, match="no longer retained"):
+                db.query_region_rows_at(epoch, WINDOW, 0.0, 1.0)
+        with pytest.raises(StoreError, match="released"):
+            db.scene.at_epoch(2)
+        for epoch in (3, 4):
+            assert db.store_at(epoch) is db.scene.at_epoch(epoch)
+        with pytest.raises(WorkloadError, match="outside recorded range"):
+            db.store_at(5)
 
 
 class TestCacheInvalidation:

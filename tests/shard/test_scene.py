@@ -16,14 +16,17 @@ Two contracts:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.errors import ShardError
+from repro.errors import ShardError, WorkloadError
 from repro.geometry.box import Box
 from repro.geometry.grid import Grid
 from repro.net.messages import LATEST_EPOCH, RegionRequest, RetrieveRequest
-from repro.server.scene import SceneDatabase
+from repro.server.scene import DEFAULT_RETAINED_EPOCHS, SceneDatabase
 from repro.server.server import Server
 from repro.shard.coordinator import ShardCoordinator
 from repro.shard.mapping import ShardMap
@@ -156,6 +159,40 @@ def test_lockstep_parity_at_every_epoch(shard_city, shards):
             coord.execute_batch(request(99, epoch=epoch)),
             mono.execute_batch(request(99, epoch=epoch)),
         )
+
+
+def test_stepped_epoch_views_are_freed(shard_city):
+    """Neither the global store nor any slice keeps an evicted epoch.
+
+    The coordinator plans (shard planners hold memos) and queries at
+    every epoch, so a view surviving here would be held by a memo, a
+    uid step or a pin -- not just by the store's own list.
+    """
+    source, sharded = sharded_pair(shard_city, 3)
+    coord = ShardCoordinator(sharded, plan_deltas=True)
+    moves = rush_hour_deltas(
+        np.unique(shard_city.store.object_ids)[:6],
+        amplitude=35.0,
+        seed=11,
+        epochs=None,
+    )
+    coord.advance_epoch(moves(0))
+    coord.execute_batch(request(1))
+    views = [weakref.ref(sharded.store_at(1).data)] + [
+        weakref.ref(shard_slice.db.store_at(1).data)
+        for shard_slice in sharded.slices
+    ]
+    for k in range(1, DEFAULT_RETAINED_EPOCHS + 2):
+        coord.advance_epoch(moves(k))
+        coord.execute_batch(request(1))
+    gc.collect()
+    assert [view() is None for view in views] == [True] * len(views)
+    with pytest.raises(WorkloadError, match="no longer retained"):
+        sharded.store_at(1)
+    # A slice answers its current epoch only; history is the source's.
+    for shard_slice in sharded.slices:
+        assert shard_slice.db.pinned_epochs == (sharded.current_epoch,)
+    assert len(source.pinned_epochs) == DEFAULT_RETAINED_EPOCHS
 
 
 def test_sharded_scene_refuses_new_objects(shard_city, small_decomposition):

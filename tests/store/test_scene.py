@@ -275,8 +275,46 @@ class TestEdgeCases:
             scene.at_epoch(1)
         with pytest.raises(StoreError):
             scene.at_epoch(-1)
+
+    def test_standalone_scene_keeps_every_epoch(self):
+        """A scene nobody releases answers every epoch it recorded."""
+        rng = np.random.default_rng(12)
+        scene = random_scene(rng)
+        moved = int(scene.latest.data["object_id"][0])
+        step = np.asarray([[1.0, -1.0, 0.0]])
+        for _ in range(40):
+            scene.apply(
+                SceneDelta(
+                    move_ids=np.asarray([moved], dtype=np.int64),
+                    move_offsets=step,
+                )
+            )
+        rows = scene.latest.data["object_id"] == moved
+        for epoch in range(1, scene.epoch + 1):
+            before = scene.at_epoch(epoch - 1).data["position"][rows]
+            after = scene.at_epoch(epoch).data["position"][rows]
+            assert np.array_equal(after, before + step)
+
+    def test_release_keeps_seed_and_latest(self):
+        rng = np.random.default_rng(13)
+        scene = random_scene(rng)
+        for _ in range(3):
+            scene.apply(SceneDelta())
+        scene.release(0)  # the seed stays: replays start from it
+        scene.release(1)
+        scene.release(1)  # a second release is a no-op
+        assert scene.at_epoch(0) is not None
+        with pytest.raises(StoreError, match="released"):
+            scene.at_epoch(1)
         with pytest.raises(StoreError):
-            scene.footprint_delta(0)
+            scene.release(3)  # the latest view cannot go
+        with pytest.raises(StoreError):
+            scene.release(-1)
+        # Replay still reaches a released epoch through the delta log.
+        assert (
+            scene.rebuilt_at(1).data.tobytes()
+            == scene.at_epoch(2).data.tobytes()
+        )
 
     def test_footprint_alignment_validated(self):
         with pytest.raises(StoreError):
